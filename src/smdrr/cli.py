@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .engine import Trace, simulate
@@ -124,12 +123,7 @@ def _parse_policies(specs: list[str], parser: argparse.ArgumentParser) -> list[P
 
 
 def _simulate_all(workload: Workload, policies: list[PolicyConfig]) -> list[Trace]:
-    # Simulations are pure, so fanning out threads cannot reorder results:
-    # map() preserves the user's policy order.
-    if len(policies) == 1:
-        return [simulate(workload, policies[0])]
-    with ThreadPoolExecutor(max_workers=len(policies)) as pool:
-        return list(pool.map(lambda config: simulate(workload, config), policies))
+    return [simulate(workload, config) for config in policies]
 
 
 def _emit(text: str, out: str | None) -> None:

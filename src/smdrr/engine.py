@@ -7,10 +7,12 @@ previous one ended, with idle segments filling any CPU gaps.
 
 from __future__ import annotations
 
+import heapq
 import json
+from collections import deque
 from dataclasses import dataclass
 
-from .policies import PolicyConfig, ReadyEntry, plan_cycle_smdrr, rr_requeue_position
+from .policies import PolicyConfig, plan_cycle_smdrr, rr_requeue_position
 from .workload import Workload
 
 
@@ -99,21 +101,24 @@ class Trace:
 
 
 class _Proc:
-    """Mutable per-process simulation state."""
+    """Mutable per-process simulation state.
 
-    __slots__ = ("pid", "arrival", "burst", "index", "remaining", "first_start", "completion")
+    It carries the fields policies read from a ready process (pid,
+    remaining, arrival, submission_index), so the loops hand these
+    records to the policy functions directly.
+    """
 
-    def __init__(self, pid: str, arrival: int, burst: int, index: int) -> None:
+    __slots__ = ("pid", "arrival", "burst", "submission_index", "remaining",
+                 "first_start", "completion")
+
+    def __init__(self, pid: str, arrival: int, burst: int, submission_index: int) -> None:
         self.pid = pid
         self.arrival = arrival
         self.burst = burst
-        self.index = index
+        self.submission_index = submission_index
         self.remaining = burst
         self.first_start: int | None = None
         self.completion: int | None = None
-
-    def entry(self) -> ReadyEntry:
-        return ReadyEntry(self.pid, self.remaining, self.arrival, self.index)
 
 
 def simulate(workload: Workload, policy: PolicyConfig) -> Trace:
@@ -163,66 +168,79 @@ def _dispatch(proc: _Proc, now: int, run: int, segments: list[Segment]) -> int:
     return now + run
 
 
+def _by_arrival(procs: list[_Proc]) -> list[_Proc]:
+    return sorted(procs, key=lambda p: (p.arrival, p.submission_index))
+
+
 def _run_smdrr(procs: list[_Proc]) -> tuple[list[Segment], list[int]]:
     # Arrivals are admitted only between cycles: a process turning up
     # mid-cycle waits for the round to finish before it can be planned.
-    pending = sorted(procs, key=lambda p: (p.arrival, p.index))
+    # The ready list stays in the previous plan's order: every survivor
+    # lost exactly one quantum, so the planner's sort only has to merge
+    # the appended arrivals into an already sorted run.
+    pending = _by_arrival(procs)
+    by_pid = {p.pid: p for p in procs}
+    cursor, total = 0, len(pending)
     now = pending[0].arrival
     ready: list[_Proc] = []
     segments: list[Segment] = []
     quanta: list[int] = []
-    while pending or ready:
-        while pending and pending[0].arrival <= now:
-            ready.append(pending.pop(0))
+    while cursor < total or ready:
+        while cursor < total and pending[cursor].arrival <= now:
+            ready.append(pending[cursor])
+            cursor += 1
         if not ready:
-            segments.append(Segment(None, now, pending[0].arrival))
-            now = pending[0].arrival
+            segments.append(Segment(None, now, pending[cursor].arrival))
+            now = pending[cursor].arrival
             continue
-        plan = plan_cycle_smdrr(p.entry() for p in ready)
-        quanta.append(plan.quantum)
-        by_pid = {p.pid: p for p in ready}
+        plan = plan_cycle_smdrr(ready)
+        quantum = plan.quantum
+        quanta.append(quantum)
+        ready = []
         for pid in plan.order:
             proc = by_pid[pid]
-            now = _dispatch(proc, now, min(plan.quantum, proc.remaining), segments)
-            if proc.remaining == 0:
-                ready.remove(proc)
+            now = _dispatch(proc, now, min(quantum, proc.remaining), segments)
+            if proc.remaining:
+                ready.append(proc)
     return segments, quanta
 
 
 def _run_rr(procs: list[_Proc], quantum: int) -> list[Segment]:
-    pending = sorted(procs, key=lambda p: (p.arrival, p.index))
-    by_pid = {p.pid: p for p in procs}
+    pending = _by_arrival(procs)
+    cursor, total = 0, len(pending)
     now = pending[0].arrival
-    queue: list[str] = []
+    queue: deque[str] = deque()
+    by_pid = {p.pid: p for p in procs}
     segments: list[Segment] = []
 
     def take_arrivals(upto: int) -> list[_Proc]:
-        arrived = []
-        while pending and pending[0].arrival <= upto:
-            arrived.append(pending.pop(0))
-        return arrived
+        nonlocal cursor
+        start = cursor
+        while cursor < total and pending[cursor].arrival <= upto:
+            cursor += 1
+        return pending[start:cursor]
 
-    queue = [p.pid for p in take_arrivals(now)]
-    while queue or pending:
+    queue.extend(p.pid for p in take_arrivals(now))
+    while queue or cursor < total:
         if not queue:
-            nxt = pending[0].arrival
+            nxt = pending[cursor].arrival
             segments.append(Segment(None, now, nxt))
             now = nxt
-            queue = [p.pid for p in take_arrivals(now)]
+            queue.extend(p.pid for p in take_arrivals(now))
             continue
-        proc = by_pid[queue.pop(0)]
+        proc = by_pid[queue.popleft()]
         now = _dispatch(proc, now, min(quantum, proc.remaining), segments)
-        arrived = take_arrivals(now)
+        # Arrivals come off the cursor already in (arrival, submission
+        # index) order and join ahead of the preempted process.
+        queue.extend(p.pid for p in take_arrivals(now))
         if proc.remaining > 0:
-            queue = rr_requeue_position(queue, proc.pid, (p.entry() for p in arrived))
-        else:
-            queue += [p.pid for p in sorted(arrived, key=lambda p: (p.arrival, p.index))]
+            rr_requeue_position(queue, proc.pid, ())
     return segments
 
 
 def _run_fcfs(procs: list[_Proc]) -> list[Segment]:
     segments: list[Segment] = []
-    ordered = sorted(procs, key=lambda p: (p.arrival, p.index))
+    ordered = _by_arrival(procs)
     now = ordered[0].arrival
     for proc in ordered:
         if now < proc.arrival:
@@ -233,17 +251,21 @@ def _run_fcfs(procs: list[_Proc]) -> list[Segment]:
 
 
 def _run_sjf(procs: list[_Proc]) -> list[Segment]:
+    pending = _by_arrival(procs)
+    cursor, total = 0, len(pending)
+    now = pending[0].arrival
+    heap: list[tuple[int, int, int, _Proc]] = []
     segments: list[Segment] = []
-    left = list(procs)
-    now = min(p.arrival for p in left)
-    while left:
-        arrived = [p for p in left if p.arrival <= now]
-        if not arrived:
-            nxt = min(p.arrival for p in left)
+    while cursor < total or heap:
+        while cursor < total and pending[cursor].arrival <= now:
+            p = pending[cursor]
+            heapq.heappush(heap, (p.burst, p.arrival, p.submission_index, p))
+            cursor += 1
+        if not heap:
+            nxt = pending[cursor].arrival
             segments.append(Segment(None, now, nxt))
             now = nxt
             continue
-        proc = min(arrived, key=lambda p: (p.burst, p.arrival, p.index))
+        proc = heapq.heappop(heap)[3]
         now = _dispatch(proc, now, proc.burst, segments)
-        left.remove(proc)
     return segments

@@ -8,10 +8,9 @@ Fixed-quantum RR, FCFS and SJF serve as baselines.
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, MutableSequence, Protocol, Sequence
 
 KINDS = ("smdrr", "rr", "fcfs", "sjf")
 
@@ -74,6 +73,23 @@ class ReadyEntry:
     submission_index: int
 
 
+class ReadyRecord(Protocol):
+    """What the policy functions read from a ready process: a ReadyEntry
+    or the engine's own per-process record."""
+
+    @property
+    def pid(self) -> str: ...
+
+    @property
+    def remaining(self) -> int: ...
+
+    @property
+    def arrival(self) -> int: ...
+
+    @property
+    def submission_index(self) -> int: ...
+
+
 @dataclass(frozen=True)
 class CyclePlan:
     """One SMDRR round: dispatch order plus the cycle's quantum."""
@@ -85,25 +101,34 @@ class CyclePlan:
 def harmonic_mean_quantum(remaining: Sequence[int]) -> int:
     """Ceiling of the harmonic mean n / (1/x1 + ... + 1/xn).
 
-    Computed with exact rational arithmetic: a float sum can land on the
-    wrong side of an integer boundary (e.g. [2,3,6] has harmonic mean
-    exactly 3, which naive float math rounds up to 4) and a wrong quantum
-    rewrites the whole schedule.  The result always lies within
+    Computed exactly in integers: a float sum can land on the wrong side
+    of an integer boundary (e.g. [2,3,6] has harmonic mean exactly 3,
+    which naive float math rounds up to 4) and a wrong quantum rewrites
+    the whole schedule.  The sum of c/v over each distinct value v (seen
+    c times) is kept as num/den on a running common denominator, with no
+    gcd reduction per step; the ceiling of n*den/num is then one integer
+    division.  The result always lies within
     [min(remaining), max(remaining)].
     """
     if not remaining:
         raise ValueError("remaining burst list is empty")
-    if any(x < 1 for x in remaining):
+    counts = Counter(remaining)
+    if min(counts) < 1:
         raise ValueError("remaining bursts must be >= 1")
-    mean = Fraction(len(remaining)) / sum(Fraction(1, x) for x in remaining)
-    return math.ceil(mean)
+    num, den = 0, 1
+    for value, count in counts.items():
+        num = num * value + count * den
+        den *= value
+    return -(-len(remaining) * den // num)
 
 
-def plan_cycle_smdrr(ready: Iterable[ReadyEntry]) -> CyclePlan:
+def plan_cycle_smdrr(ready: Iterable[ReadyRecord]) -> CyclePlan:
     """Plan one SMDRR cycle over the ready set.
 
     Order: ascending remaining time, ties by arrival then submission
-    index.  Quantum: harmonic-mean ceiling of the remaining times.
+    index.  Quantum: harmonic-mean ceiling of the remaining times.  The
+    sort is stable and near linear when the input is already mostly in
+    order.
     """
     entries = sorted(ready, key=lambda e: (e.remaining, e.arrival, e.submission_index))
     if not entries:
@@ -113,15 +138,18 @@ def plan_cycle_smdrr(ready: Iterable[ReadyEntry]) -> CyclePlan:
 
 
 def rr_requeue_position(
-    queue: Sequence[str],
+    queue: MutableSequence[str],
     preempted_pid: str,
-    arrivals_during_run: Iterable[ReadyEntry],
-) -> list[str]:
-    """RR queue after a quantum expiry.
+    arrivals_during_run: Iterable[ReadyRecord],
+) -> MutableSequence[str]:
+    """Requeue after a quantum expiry, in place, and return the same queue.
 
     Processes that arrived at or before the preemption instant join first
     (arrival order, ties by submission index); the preempted process goes
-    to the tail.
+    to the tail.  queue is a list or a deque; the cost is O(arrivals),
+    independent of the queue's length.
     """
     arrivals = sorted(arrivals_during_run, key=lambda e: (e.arrival, e.submission_index))
-    return list(queue) + [e.pid for e in arrivals] + [preempted_pid]
+    queue.extend(e.pid for e in arrivals)
+    queue.append(preempted_pid)
+    return queue

@@ -67,3 +67,43 @@ def rr_trace(procs, quantum):
         if rem[p] > 0:
             queue.append(p)
     return segs
+
+
+def fcfs_trace(procs):
+    """First come, first served: whoever arrived first (ties: submission
+    order) runs to completion; the CPU idles until the next arrival."""
+    left = list(range(len(procs)))
+    t = min(a for _, a, _ in procs)
+    segs = []
+    while left:
+        first = min(left, key=lambda i: (procs[i][1], i))
+        p, a, b = procs[first]
+        if a > t:
+            segs.append((None, t, a))
+            t = a
+        segs.append((p, t, t + b))
+        t += b
+        left.remove(first)
+    return segs
+
+
+def sjf_trace(procs):
+    """Non-preemptive shortest job first: among the processes that have
+    arrived, the shortest burst runs to completion (ties: arrival, then
+    submission order); with none arrived, the CPU idles until one is."""
+    left = list(range(len(procs)))
+    t = min(a for _, a, _ in procs)
+    segs = []
+    while left:
+        arrived = [i for i in left if procs[i][1] <= t]
+        if not arrived:
+            nxt = min(procs[i][1] for i in left)
+            segs.append((None, t, nxt))
+            t = nxt
+            continue
+        pick = min(arrived, key=lambda i: (procs[i][2], procs[i][1], i))
+        p, _, b = procs[pick]
+        segs.append((p, t, t + b))
+        t += b
+        left.remove(pick)
+    return segs

@@ -24,6 +24,8 @@ from smdrr.workload import ProcessSpec, Workload, paper_case
 
 RR20 = PolicyConfig("rr", 20)
 SMDRR = PolicyConfig("smdrr")
+FCFS = PolicyConfig("fcfs")
+SJF = PolicyConfig("sjf")
 FUZZ_RUNS = 1000
 
 
@@ -35,6 +37,10 @@ def criterion(number, description):
         print(f"criterion {number} ({description}): FAIL")
         raise
     print(f"criterion {number} ({description}): PASS")
+
+
+def segments_of(trace):
+    return [(s.occupant, s.start, s.end) for s in trace.segments]
 
 
 def zero_referenced(case_id, config):
@@ -99,17 +105,17 @@ def test_criterion_4_case4_tables_no_errata():
 
 
 def test_criterion_5_engine_equals_independent_oracle():
-    with criterion(5, "engine traces equal the brute-force followers, all 8 runs"):
+    with criterion(5, "engine traces equal the brute-force followers, all 16 runs"):
         for case_id in (1, 2, 3, 4):
             w = paper_case(case_id)
             triples = [(p.pid, p.arrival, p.burst) for p in w.processes]
-            rr = simulate(w, RR20)
-            assert [(s.occupant, s.start, s.end) for s in rr.segments] == \
-                oracle.rr_trace(triples, 20)
+            assert segments_of(simulate(w, RR20)) == oracle.rr_trace(triples, 20)
             sm = simulate(w, SMDRR)
             expected_segments, cycles = oracle.smdrr_trace(triples)
-            assert [(s.occupant, s.start, s.end) for s in sm.segments] == expected_segments
+            assert segments_of(sm) == expected_segments
             assert list(sm.quanta) == [q for _, q in cycles] == SMDRR_QUANTA[case_id]
+            assert segments_of(simulate(w, FCFS)) == oracle.fcfs_trace(triples)
+            assert segments_of(simulate(w, SJF)) == oracle.sjf_trace(triples)
 
 
 @pytest.fixture(scope="module")
@@ -149,9 +155,9 @@ def test_criterion_6_property_suite(fuzz_workloads):
 
             smdrr_trace = simulate(w, SMDRR)
             rr_trace = simulate(w, RR20)
-            for trace in (smdrr_trace, rr_trace,
-                          simulate(w, PolicyConfig("fcfs")),
-                          simulate(w, PolicyConfig("sjf"))):
+            fcfs_trace = simulate(w, FCFS)
+            sjf_trace = simulate(w, SJF)
+            for trace in (smdrr_trace, rr_trace, fcfs_trace, sjf_trace):
                 assert_conserved_and_contiguous(w, trace)
                 dispatches = sum(1 for s in trace.segments if not s.is_idle)
                 assert context_switches(trace) == dispatches - 1
@@ -159,10 +165,12 @@ def test_criterion_6_property_suite(fuzz_workloads):
                     report = compute_metrics(trace, convention)
                     assert report.awt == report.att - mean_burst
 
-            # engine agrees with the independent follower on fuzzed input too
+            # engine agrees with the independent followers on fuzzed input too
             expected_segments, cycles = oracle.smdrr_trace(triples)
-            assert [(s.occupant, s.start, s.end)
-                    for s in smdrr_trace.segments] == expected_segments
+            assert segments_of(smdrr_trace) == expected_segments
+            assert segments_of(rr_trace) == oracle.rr_trace(triples, 20)
+            assert segments_of(fcfs_trace) == oracle.fcfs_trace(triples)
+            assert segments_of(sjf_trace) == oracle.sjf_trace(triples)
             assert list(smdrr_trace.quanta) == [q for _, q in cycles]
             offset = 0
             segments = [s for s in smdrr_trace.segments if not s.is_idle]

@@ -1,0 +1,68 @@
+"""Engine against the brute-force followers at a few hundred processes.
+
+The acceptance fuzz stops at 8 processes; these workloads are large
+enough for the RR queue, the SJF heap and the SMDRR ready list to hold
+hundreds of entries.  Bursts 1..5 give heavy ties in remaining time and
+burst, so the survivor order and the SJF heap key are exercised, not
+only the common case.  Submission order is shuffled against arrival
+order, so ties on arrival fall back to submission index.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracle
+from smdrr.engine import simulate
+from smdrr.policies import parse_policy
+from smdrr.workload import ProcessSpec, Workload
+
+POLICIES = ("smdrr", "rr:20", "rr:3", "fcfs", "sjf")
+
+
+def follow(spelling, triples):
+    if spelling == "smdrr":
+        segments, cycles = oracle.smdrr_trace(triples)
+        return segments, [q for _, q in cycles]
+    if spelling.startswith("rr:"):
+        quantum = int(spelling[3:])
+        return oracle.rr_trace(triples, quantum), [quantum]
+    if spelling == "fcfs":
+        return oracle.fcfs_trace(triples), None
+    return oracle.sjf_trace(triples), None
+
+
+def assert_engine_follows(triples):
+    workload = Workload("diff", tuple(ProcessSpec(*t) for t in triples))
+    for spelling in POLICIES:
+        trace = simulate(workload, parse_policy(spelling))
+        segments, quanta = follow(spelling, triples)
+        assert [(s.occupant, s.start, s.end) for s in trace.segments] == segments, spelling
+        assert (None if trace.quanta is None else list(trace.quanta)) == quanta, spelling
+
+
+def random_triples(rng, n, burst, spread):
+    """n processes; arrivals over 0..spread*n*mean burst (0 keeps them all at 0)."""
+    lo, hi = burst
+    horizon = int(spread * n * (lo + hi) / 2)
+    return [(f"P{i + 1}", rng.randint(0, horizon), rng.randint(lo, hi)) for i in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("burst", [(1, 1000), (1, 5)], ids=["burst1-1000", "burst1-5"])
+@pytest.mark.parametrize("spread", [0, 0.5], ids=["arrive-at-0", "arrive-spread"])
+def test_engine_follows_oracle_at_size(spread, burst, seed):
+    rng = random.Random(f"{spread}-{burst}-{seed}")
+    assert_engine_follows(random_triples(rng, 300, burst, spread))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 80),
+    burst_hi=st.sampled_from([1, 2, 5, 1000]),
+    spread=st.sampled_from([0, 0.25, 1, 3]),
+    seed=st.integers(0, 2**32),
+)
+def test_engine_follows_oracle_on_mixed_spreads(n, burst_hi, spread, seed):
+    assert_engine_follows(random_triples(random.Random(seed), n, (1, burst_hi), spread))

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,8 @@ def exact_quantum(values):
         ([7, 7, 7], 7),
         # 3 / (1/6 + 1/12 + 1/18) = 108/11 = 9.81..., so the ceiling is 10
         ([6, 12, 18], 10),
+        # 2 / (1/3 + 1/6) = 4 exactly
+        ([3, 6], 4),
     ],
 )
 def test_harmonic_mean_quantum_values(values, expected):
@@ -49,7 +52,7 @@ def test_harmonic_mean_quantum_rejects_bad_input():
         harmonic_mean_quantum([5, 0, 3])
 
 
-@given(st.lists(st.integers(1, 10_000), min_size=1, max_size=50))
+@given(st.lists(st.integers(1, 10**6), min_size=1, max_size=200))
 def test_harmonic_mean_quantum_properties(values):
     q = harmonic_mean_quantum(values)
     assert min(values) <= q <= max(values)
@@ -57,9 +60,16 @@ def test_harmonic_mean_quantum_properties(values):
     assert q == exact_quantum(values)
 
 
-@given(st.integers(1, 10_000), st.integers(1, 40))
+@given(st.integers(1, 10**6), st.integers(1, 500))
 def test_harmonic_mean_of_equal_values_is_exact(value, count):
     assert harmonic_mean_quantum([value] * count) == value
+
+
+# few distinct values drawn many times, so duplicates dominate
+@given(st.lists(st.integers(1, 10**6), min_size=1, max_size=8).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=300)))
+def test_harmonic_mean_quantum_matches_fraction_with_duplicates(values):
+    assert harmonic_mean_quantum(values) == exact_quantum(values)
 
 
 def entries(*rows):
@@ -114,6 +124,14 @@ def test_rr_requeue_empty_queue():
 def test_rr_requeue_sorts_arrivals():
     arrived = entries(("X", 5, 9, 3), ("Y", 5, 4, 7), ("Z", 5, 4, 2))
     assert rr_requeue_position([], "P", arrived) == ["Z", "Y", "X", "P"]
+
+
+@pytest.mark.parametrize("container", [list, deque])
+def test_rr_requeue_extends_the_queue_in_place(container):
+    queue = container(["A", "B"])
+    arrived = entries(("X", 5, 9, 3), ("Y", 5, 4, 7), ("Z", 5, 4, 2))
+    assert rr_requeue_position(queue, "P", arrived) is queue
+    assert list(queue) == ["A", "B", "Z", "Y", "X", "P"]
 
 
 @pytest.mark.parametrize(

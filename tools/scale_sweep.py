@@ -1,0 +1,111 @@
+"""Simulate-only scale sweep: microseconds per trace segment as n grows.
+
+    python3 tools/scale_sweep.py [--src DIR] [--json]
+
+Stdlib only.  For each policy (SMDRR, RR:20, FCFS, SJF) and each n in
+100, 1000, 4000 and 10000 it generates n processes (seed 1) with bursts
+1..1000 ms and arrivals over 0..n*50 ms, times ``simulate`` alone and
+prints µs per segment and the segment count.  A cell counts as linear-time when its µs/segment stays
+flat as n grows.
+
+Each cell has a wall budget of BUDGET_S seconds.  Before a cell runs, its
+time is predicted from the same policy's previous cell as if the cost
+grew with n squared; a cell predicted over budget is reported as
+skipped and is not run, and so are the larger cells after it.  Cells
+that finish quickly are repeated (up to three times, within the budget)
+and the fastest run is kept.
+
+--src points at another checkout's ``src`` directory, so that two
+commits can be swept with the same script.  --json prints one JSON
+object instead of the table.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import platform
+import sys
+import time
+from pathlib import Path
+
+POLICIES = ("smdrr", "rr:20", "fcfs", "sjf")
+SIZES = (100, 1000, 4000, 10000)
+BURST = (1, 1000)
+ARRIVAL_MS_PER_PROCESS = 50
+SEED = 1
+REPEAT = 3
+BUDGET_S = 10.0  # wall seconds per cell
+
+
+def sweep() -> dict:
+    from smdrr.engine import simulate
+    from smdrr.policies import parse_policy
+    from smdrr.workload import GeneratorSpec, generate_workload
+
+    workloads = {
+        n: generate_workload(GeneratorSpec(n, *BURST, 0, n * ARRIVAL_MS_PER_PROCESS, SEED))
+        for n in SIZES
+    }
+    cells = []
+    for spelling in POLICIES:
+        config = parse_policy(spelling)
+        previous = None  # (n, seconds) of this policy's last cell that ran
+        skipping = False
+        for n in SIZES:
+            cell = {"policy": spelling, "n": n}
+            cells.append(cell)
+            if previous is not None and not skipping:
+                predicted = previous[1] * (n / previous[0]) ** 2
+                skipping = predicted > BUDGET_S
+            if skipping:
+                cell["skipped"] = f"predicted over the {BUDGET_S:g} s budget"
+                continue
+            best, spent, runs = float("inf"), 0.0, 0
+            while runs < REPEAT and (runs == 0 or spent + best <= BUDGET_S):
+                gc.collect()
+                t0 = time.perf_counter()
+                trace = simulate(workloads[n], config)
+                elapsed = time.perf_counter() - t0
+                best, spent, runs = min(best, elapsed), spent + elapsed, runs + 1
+            segments = len(trace.segments)
+            cell.update(seconds=best, segments=segments, runs=runs,
+                        us_per_segment=best / segments * 1e6)
+            previous = (n, best)
+    return {
+        "burst": list(BURST),
+        "arrival": f"0..n*{ARRIVAL_MS_PER_PROCESS}",
+        "seed": SEED,
+        "budget_s": BUDGET_S,
+        "host": {"python": platform.python_version(), "machine": platform.machine()},
+        "cells": cells,
+    }
+
+
+def table(result: dict) -> str:
+    lines = [f"{'policy':<7} {'n':>6} {'segments':>9} {'us/segment':>11} {'seconds':>9}"]
+    for cell in result["cells"]:
+        head = f"{cell['policy']:<7} {cell['n']:>6}"
+        if "skipped" in cell:
+            lines.append(f"{head} skipped: {cell['skipped']}")
+        else:
+            lines.append(f"{head} {cell['segments']:>9} {cell['us_per_segment']:>11.2f} "
+                         f"{cell['seconds']:>9.4f}")
+    return "\n".join(lines) + "\n"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
+                        help="source directory holding the smdrr package")
+    parser.add_argument("--json", action="store_true", help="print one JSON object")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src))
+    result = sweep()
+    sys.stdout.write(json.dumps(result, indent=2) + "\n" if args.json else table(result))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
