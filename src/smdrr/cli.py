@@ -6,11 +6,11 @@ Exit codes: 0 success, 1 workload/data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
-from .engine import Trace, simulate
+from .engine import Trace, json_quote, simulate
 from .errata import CASE_IDS, FIXED_RR_QUANTUM, compute_errata
 from .metrics import Convention, MetricsReport, compute_metrics, format_decimal
 from .policies import PolicyConfig, PolicyError, parse_policy
@@ -126,11 +126,13 @@ def _simulate_all(workload: Workload, policies: list[PolicyConfig]) -> list[Trac
     return [simulate(workload, config) for config in policies]
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write chunks in order to the out file, opened once, or to stdout."""
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as f:
+            f.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _run_text(policy: PolicyConfig, trace: Trace, report: MetricsReport,
@@ -169,6 +171,23 @@ def _render_gantt(trace: Trace, kind: str | None) -> str | None:
     return None
 
 
+def _run_json(runs: list[tuple[PolicyConfig, Trace, MetricsReport]],
+              gantt_kind: str | None) -> Iterator[str]:
+    """The run documents, byte for byte as json.dumps([...], indent=2) + "\\n"."""
+    yield "["
+    for i, (policy, trace, report) in enumerate(runs):
+        yield (f'{"," if i else ""}\n  {{\n    "policy": {json_quote(policy.spelling())},'
+               '\n    "trace": ')
+        yield from trace.json_chunks(2)
+        yield ',\n    "metrics": '
+        yield from report.json_chunks(2)
+        gantt = _render_gantt(trace, gantt_kind)
+        if gantt is not None:
+            yield ',\n    "gantt": ' + json_quote(gantt)
+        yield "\n  }"
+    yield "\n]\n"
+
+
 def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     policies = _parse_policies(args.policy, parser)
     if not policies:
@@ -179,24 +198,17 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     convention = Convention(args.convention)
     traces = _simulate_all(workload, policies)
     reports = [compute_metrics(t, convention) for t in traces]
+    runs = list(zip(policies, traces, reports))
     if args.format == "json":
-        docs = []
-        for policy, trace, report in zip(policies, traces, reports):
-            doc = {"policy": policy.spelling(), "trace": trace.to_dict(),
-                   "metrics": report.to_dict()}
-            gantt = _render_gantt(trace, args.gantt)
-            if gantt is not None:
-                doc["gantt"] = gantt
-            docs.append(doc)
-        _emit(json.dumps(docs, indent=2) + "\n", args.out)
+        _emit(_run_json(runs, args.gantt), args.out)
     elif args.format == "csv":
-        _emit(comparison_report(list(zip(policies, traces, reports)), "csv"), args.out)
+        _emit([comparison_report(runs, "csv")], args.out)
     else:
         chunks = [
             _run_text(policy, trace, report, _render_gantt(trace, args.gantt))
-            for policy, trace, report in zip(policies, traces, reports)
+            for policy, trace, report in runs
         ]
-        _emit("\n".join(chunks), args.out)
+        _emit(["\n".join(chunks)], args.out)
     return 0
 
 
@@ -208,7 +220,7 @@ def cmd_compare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     convention = Convention(args.convention)
     traces = _simulate_all(workload, policies)
     runs = [(p, t, compute_metrics(t, convention)) for p, t in zip(policies, traces)]
-    _emit(comparison_report(runs, args.format), args.out)
+    _emit([comparison_report(runs, args.format)], args.out)
     return 0
 
 
@@ -216,7 +228,7 @@ def cmd_generate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     if args.n is None:
         parser.error("generate needs --n")
     workload = generate_workload(_generator_spec(args, parser))
-    _emit(serialize_workload(workload, args.format), args.out)
+    _emit([serialize_workload(workload, args.format)], args.out)
     return 0
 
 
@@ -234,7 +246,7 @@ def cmd_paper_cases(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     lines = ["errata (published vs computed):"]
     lines += [e.describe() for e in errata] or ["none"]
     chunks.append("\n".join(lines) + "\n")
-    _emit("\n".join(chunks), args.out)
+    _emit(["\n".join(chunks)], args.out)
     return 0
 
 

@@ -10,10 +10,14 @@ from __future__ import annotations
 import heapq
 import json
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .policies import PolicyConfig, plan_cycle_smdrr, rr_requeue_position
 from .workload import Workload
+
+# The string quoting json.dumps itself uses (ensure_ascii, C accelerated).
+json_quote = json.encoder.encode_basestring_ascii
 
 
 class UnsupportedPolicyError(ValueError):
@@ -96,8 +100,44 @@ class Trace:
             doc["quanta"] = list(self.quanta)
         return doc
 
+    def json_chunks(self, depth: int = 0) -> Iterator[str]:
+        """to_dict() as json.dumps(indent=2) lays it out at nesting depth, in chunks.
+
+        Each segment and process is one f-string; each record list is
+        joined into one chunk.
+        """
+        i1, i3 = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 3)
+        close = "\n" + "  " * (depth + 2) + "}"
+        yield (f'{{{i1}"workload": {json_quote(self.workload_name)},'
+               f'{i1}"policy": {json_quote(self.policy)},{i1}"segments": ')
+        yield json_list([
+            f'{{{i3}"idle": true,{i3}"start": {s.start},{i3}"end": {s.end}{close}'
+            if s.occupant is None else
+            f'{{{i3}"pid": {json_quote(s.occupant)},{i3}"start": {s.start},'
+            f'{i3}"end": {s.end}{close}'
+            for s in self.segments
+        ], depth + 1)
+        yield f',{i1}"processes": '
+        yield json_list([
+            f'{{{i3}"pid": {json_quote(p.pid)},{i3}"arrival": {p.arrival},'
+            f'{i3}"burst": {p.burst},{i3}"first_start": {p.first_start},'
+            f'{i3}"completion": {p.completion}{close}'
+            for p in self.processes
+        ], depth + 1)
+        if self.quanta is not None:
+            yield f',{i1}"quanta": ' + json_list([str(q) for q in self.quanta], depth + 1)
+        yield "\n" + "  " * depth + "}"
+
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return "".join(self.json_chunks()) + "\n"
+
+
+def json_list(items: list[str], depth: int) -> str:
+    """A JSON array of rendered items, laid out as json.dumps(indent=2) at depth."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
 
 
 class _Proc:

@@ -16,10 +16,11 @@ sandwich is one switch.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import Trace
+from .engine import Trace, json_list, json_quote
 
 
 class Convention(enum.Enum):
@@ -75,13 +76,45 @@ class MetricsReport:
             "throughput": format_decimal(self.throughput),
         }
 
+    def json_chunks(self, depth: int = 0) -> Iterator[str]:
+        """to_dict() as json.dumps(indent=2) lays it out at nesting depth, in chunks.
+
+        Each per-process entry is one f-string; the list is one chunk.
+        """
+        i1, i3 = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 3)
+        close = "\n" + "  " * (depth + 2) + "}"
+        yield f'{{{i1}"convention": {json_quote(self.convention.value)},{i1}"processes": '
+        yield json_list([
+            f'{{{i3}"pid": {json_quote(p.pid)},{i3}"turnaround": {p.turnaround},'
+            f'{i3}"waiting": {p.waiting},{i3}"response": {p.response}{close}'
+            for p in self.processes
+        ], depth + 1)
+        yield (f',{i1}"att": {json_quote(format_decimal(self.att))},'
+               f'{i1}"awt": {json_quote(format_decimal(self.awt))},'
+               f'{i1}"cs": {self.cs},'
+               f'{i1}"avg_response": {json_quote(format_decimal(self.avg_response))},'
+               f'{i1}"makespan": {self.makespan},'
+               f'{i1}"cpu_utilization": {json_quote(format_decimal(self.cpu_utilization))},'
+               f'{i1}"throughput": {json_quote(format_decimal(self.throughput))}'
+               "\n" + "  " * depth + "}")
+
 
 def context_switches(trace: Trace) -> int:
     """Dispatch boundaries in the trace: process segment count - 1."""
-    dispatches = sum(1 for s in trace.segments if not s.is_idle)
+    return _switches_and_idle_time(trace)[0]
+
+
+def _switches_and_idle_time(trace: Trace) -> tuple[int, int]:
+    """(context switches, idle time) from one scan of the segments."""
+    idle_segments = idle_time = 0
+    for s in trace.segments:
+        if s.occupant is None:
+            idle_segments += 1
+            idle_time += s.end - s.start
+    dispatches = len(trace.segments) - idle_segments
     if dispatches == 0:
         raise ValueError("trace has no process segments")
-    return dispatches - 1
+    return dispatches - 1, idle_time
 
 
 def compute_metrics(trace: Trace, convention: Convention = Convention.STANDARD) -> MetricsReport:
@@ -100,15 +133,16 @@ def compute_metrics(trace: Trace, convention: Convention = Convention.STANDARD) 
         )
     n = len(per_process)
     makespan = trace.makespan
+    switches, idle_time = _switches_and_idle_time(trace)
     return MetricsReport(
         convention=convention,
         processes=tuple(per_process),
         att=Fraction(sum(m.turnaround for m in per_process), n),
         awt=Fraction(sum(m.waiting for m in per_process), n),
-        cs=context_switches(trace),
+        cs=switches,
         avg_response=Fraction(sum(m.response for m in per_process), n),
         makespan=makespan,
-        cpu_utilization=Fraction(makespan - trace.idle_time, makespan),
+        cpu_utilization=Fraction(makespan - idle_time, makespan),
         throughput=Fraction(n, makespan),
     )
 

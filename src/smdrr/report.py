@@ -68,30 +68,25 @@ def render_gantt_svg(trace: Trace) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
     ]
-    label_y = SVG_MARGIN + SVG_LANE_HEIGHT // 2 + 4
+    # The constant middle of each element is built once, outside the loops.
+    margin, scale = SVG_MARGIN, SVG_UNITS_PER_MS
+    rect_y = f'" y="{SVG_MARGIN}" width="'
+    rect_fill = f'" height="{SVG_LANE_HEIGHT}" fill="'
+    label_y = f'" y="{SVG_MARGIN + SVG_LANE_HEIGHT // 2 + 4}" font-size="12" text-anchor="middle">'
     for s in trace.segments:
-        x = SVG_MARGIN + SVG_UNITS_PER_MS * s.start
-        w = SVG_UNITS_PER_MS * s.length
-        fill = _IDLE_FILL if s.is_idle else fills[s.occupant]
-        label = _IDLE_LABEL if s.is_idle else s.occupant
-        parts.append(
-            f'<rect x="{x}" y="{SVG_MARGIN}" width="{w}" '
-            f'height="{SVG_LANE_HEIGHT}" fill="{fill}" stroke="#333"/>'
-        )
+        if s.occupant is None:
+            fill, label = _IDLE_FILL, _IDLE_LABEL
+        else:
+            fill, label = fills[s.occupant], s.occupant
         # midpoint in svg units is 2*(start+end), always an integer
-        mid = SVG_MARGIN + 2 * (s.start + s.end)
         parts.append(
-            f'<text x="{mid}" y="{label_y}" font-size="12" '
-            f'text-anchor="middle">{label}</text>'
+            f'<rect x="{margin + scale * s.start}{rect_y}{scale * (s.end - s.start)}'
+            f'{rect_fill}{fill}" stroke="#333"/>\n'
+            f'<text x="{margin + 2 * (s.start + s.end)}{label_y}{label}</text>'
         )
-    tick_y = SVG_MARGIN + SVG_LANE_HEIGHT + 12
+    tick_y = f'" y="{SVG_MARGIN + SVG_LANE_HEIGHT + 12}" font-size="10" text-anchor="middle">'
     boundaries = [trace.segments[0].start] + [s.end for s in trace.segments]
-    for value in boundaries:
-        x = SVG_MARGIN + SVG_UNITS_PER_MS * value
-        parts.append(
-            f'<text x="{x}" y="{tick_y}" font-size="10" '
-            f'text-anchor="middle">{value}</text>'
-        )
+    parts += [f'<text x="{margin + scale * value}{tick_y}{value}</text>' for value in boundaries]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -103,6 +103,27 @@ def test_run_out_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())[0]["metrics"]["cs"] == 10
 
 
+def test_run_out_into_missing_directory_is_data_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "run", "--case", "1", "--policy", "smdrr",
+                             "--format", "json", "--out", str(target))
+    assert code == 1
+    assert err.startswith("error:")
+    assert out == ""
+    assert not target.parent.exists()
+
+
+def test_run_workload_error_leaves_no_out_file(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("pid,arrival,burst\nA,0,0\n")
+    target = tmp_path / "x.json"
+    code, out, _ = run_cli(capsys, "run", "--workload", str(path), "--policy", "smdrr",
+                           "--format", "json", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert not target.exists()
+
+
 def test_compare_case4(capsys):
     code, out, _ = run_cli(capsys, "compare", "--case", "4", "--policy", "rr:20",
                            "--policy", "smdrr", "--convention", "paper", "--format", "csv")
