@@ -12,8 +12,10 @@ import json
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .policies import PolicyConfig, plan_cycle_smdrr, rr_requeue_position
+# Not called here: smdrr.engine.rr_requeue_position is a perfbench LAYERS target.
+from .policies import PolicyConfig, plan_cycle_smdrr, rr_requeue_position  # noqa: F401
 from .workload import Workload
 
 # The string quoting json.dumps itself uses (ensure_ascii, C accelerated).
@@ -24,8 +26,7 @@ class UnsupportedPolicyError(ValueError):
     """Raised when a trace has no quantum sequence (FCFS/SJF)."""
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One contiguous occupancy of the CPU; occupant None means idle."""
 
     occupant: str | None
@@ -41,8 +42,7 @@ class Segment:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class ProcessOutcome:
+class ProcessOutcome(NamedTuple):
     """Per-process simulation results, in submission order."""
 
     pid: str
@@ -143,9 +143,9 @@ def json_list(items: list[str], depth: int) -> str:
 class _Proc:
     """Mutable per-process simulation state.
 
-    It carries the fields policies read from a ready process (pid,
-    remaining, arrival, submission_index), so the loops hand these
-    records to the policy functions directly.
+    It carries the fields plan_cycle_smdrr reads from a ready process
+    (pid, remaining, arrival, submission_index), so the SMDRR loop hands
+    these records to it directly; RR queues the records themselves.
     """
 
     __slots__ = ("pid", "arrival", "burst", "submission_index", "remaining",
@@ -198,16 +198,6 @@ def quantum_sequence(trace: Trace) -> list[int]:
     return list(trace.quanta)
 
 
-def _dispatch(proc: _Proc, now: int, run: int, segments: list[Segment]) -> int:
-    if proc.first_start is None:
-        proc.first_start = now
-    segments.append(Segment(proc.pid, now, now + run))
-    proc.remaining -= run
-    if proc.remaining == 0:
-        proc.completion = now + run
-    return now + run
-
-
 def _by_arrival(procs: list[_Proc]) -> list[_Proc]:
     return sorted(procs, key=lambda p: (p.arrival, p.submission_index))
 
@@ -239,9 +229,16 @@ def _run_smdrr(procs: list[_Proc]) -> tuple[list[Segment], list[int]]:
         ready = []
         for pid in plan.order:
             proc = by_pid[pid]
-            now = _dispatch(proc, now, min(quantum, proc.remaining), segments)
+            if proc.first_start is None:
+                proc.first_start = now
+            run = quantum if quantum < proc.remaining else proc.remaining
+            segments.append(Segment(pid, now, now + run))
+            now += run
+            proc.remaining -= run
             if proc.remaining:
                 ready.append(proc)
+            else:
+                proc.completion = now
     return segments, quanta
 
 
@@ -249,32 +246,33 @@ def _run_rr(procs: list[_Proc], quantum: int) -> list[Segment]:
     pending = _by_arrival(procs)
     cursor, total = 0, len(pending)
     now = pending[0].arrival
-    queue: deque[str] = deque()
-    by_pid = {p.pid: p for p in procs}
+    queue: deque[_Proc] = deque()
     segments: list[Segment] = []
-
-    def take_arrivals(upto: int) -> list[_Proc]:
-        nonlocal cursor
-        start = cursor
-        while cursor < total and pending[cursor].arrival <= upto:
-            cursor += 1
-        return pending[start:cursor]
-
-    queue.extend(p.pid for p in take_arrivals(now))
     while queue or cursor < total:
+        while cursor < total and pending[cursor].arrival <= now:
+            queue.append(pending[cursor])
+            cursor += 1
         if not queue:
             nxt = pending[cursor].arrival
             segments.append(Segment(None, now, nxt))
             now = nxt
-            queue.extend(p.pid for p in take_arrivals(now))
             continue
-        proc = by_pid[queue.popleft()]
-        now = _dispatch(proc, now, min(quantum, proc.remaining), segments)
-        # Arrivals come off the cursor already in (arrival, submission
-        # index) order and join ahead of the preempted process.
-        queue.extend(p.pid for p in take_arrivals(now))
-        if proc.remaining > 0:
-            rr_requeue_position(queue, proc.pid, ())
+        proc = queue.popleft()
+        if proc.first_start is None:
+            proc.first_start = now
+        run = quantum if quantum < proc.remaining else proc.remaining
+        segments.append(Segment(proc.pid, now, now + run))
+        now += run
+        proc.remaining -= run
+        if proc.remaining:
+            # Arrivals come off the cursor already in (arrival, submission
+            # index) order and join ahead of the preempted process.
+            while cursor < total and pending[cursor].arrival <= now:
+                queue.append(pending[cursor])
+                cursor += 1
+            queue.append(proc)
+        else:
+            proc.completion = now
     return segments
 
 
@@ -286,7 +284,10 @@ def _run_fcfs(procs: list[_Proc]) -> list[Segment]:
         if now < proc.arrival:
             segments.append(Segment(None, now, proc.arrival))
             now = proc.arrival
-        now = _dispatch(proc, now, proc.burst, segments)
+        proc.first_start = now
+        now += proc.burst
+        segments.append(Segment(proc.pid, proc.first_start, now))
+        proc.completion = now
     return segments
 
 
@@ -307,5 +308,8 @@ def _run_sjf(procs: list[_Proc]) -> list[Segment]:
             now = nxt
             continue
         proc = heapq.heappop(heap)[3]
-        now = _dispatch(proc, now, proc.burst, segments)
+        proc.first_start = now
+        now += proc.burst
+        segments.append(Segment(proc.pid, proc.first_start, now))
+        proc.completion = now
     return segments

@@ -19,6 +19,7 @@ import enum
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .engine import Trace, json_list, json_quote
 
@@ -28,8 +29,7 @@ class Convention(enum.Enum):
     PAPER_ZERO = "paper"
 
 
-@dataclass(frozen=True)
-class ProcessMetrics:
+class ProcessMetrics(NamedTuple):
     pid: str
     turnaround: int
     waiting: int
@@ -120,27 +120,26 @@ def _switches_and_idle_time(trace: Trace) -> tuple[int, int]:
 def compute_metrics(trace: Trace, convention: Convention = Convention.STANDARD) -> MetricsReport:
     """Compute per-process and aggregate metrics for a trace."""
     per_process = []
+    turnaround_sum = waiting_sum = response_sum = 0
+    paper_zero = convention is Convention.PAPER_ZERO
     for p in trace.processes:
-        origin = 0 if convention is Convention.PAPER_ZERO else p.arrival
-        turnaround = p.completion - origin
-        per_process.append(
-            ProcessMetrics(
-                pid=p.pid,
-                turnaround=turnaround,
-                waiting=turnaround - p.burst,
-                response=p.first_start - p.arrival,
-            )
-        )
+        turnaround = p.completion - (0 if paper_zero else p.arrival)
+        waiting = turnaround - p.burst
+        response = p.first_start - p.arrival
+        per_process.append(ProcessMetrics(p.pid, turnaround, waiting, response))
+        turnaround_sum += turnaround
+        waiting_sum += waiting
+        response_sum += response
     n = len(per_process)
     makespan = trace.makespan
     switches, idle_time = _switches_and_idle_time(trace)
     return MetricsReport(
         convention=convention,
         processes=tuple(per_process),
-        att=Fraction(sum(m.turnaround for m in per_process), n),
-        awt=Fraction(sum(m.waiting for m in per_process), n),
+        att=Fraction(turnaround_sum, n),
+        awt=Fraction(waiting_sum, n),
         cs=switches,
-        avg_response=Fraction(sum(m.response for m in per_process), n),
+        avg_response=Fraction(response_sum, n),
         makespan=makespan,
         cpu_utilization=Fraction(makespan - idle_time, makespan),
         throughput=Fraction(n, makespan),

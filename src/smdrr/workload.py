@@ -13,6 +13,8 @@ from dataclasses import dataclass
 _INT_RE = re.compile(r"-?[0-9]+", re.ASCII)
 _CSV_HEADER = "pid,arrival,burst"
 _MASK64 = (1 << 64) - 1
+# Generator size cap: a hostile --n fails at once instead of exhausting memory.
+MAX_PROCESSES = 1_000_000
 
 
 class WorkloadError(ValueError):
@@ -79,6 +81,8 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise WorkloadError("count must be >= 1")
+        if self.count > MAX_PROCESSES:
+            raise WorkloadError(f"count must be <= {MAX_PROCESSES}")
         if self.burst_min < 1:
             raise WorkloadError("burst_min must be >= 1")
         if self.burst_max < self.burst_min:

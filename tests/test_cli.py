@@ -6,7 +6,7 @@ import pytest
 
 from goldens import EXPECTED_ERRATA
 from smdrr.cli import main
-from smdrr.workload import parse_workload
+from smdrr.workload import MAX_PROCESSES, parse_workload
 
 
 def run_cli(capsys, *argv):
@@ -186,6 +186,13 @@ def test_generate_is_deterministic(capsys):
 
 def test_generate_bad_burst_range(capsys):
     assert run_cli_usage_error(capsys, "generate", "--n", "5", "--burst", "0..10") == 2
+
+
+def test_generate_rejects_n_above_cap(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["generate", "--n", "1000000000000", "--burst", "1..5"])
+    assert excinfo.value.code == 2
+    assert f"count must be <= {MAX_PROCESSES}" in capsys.readouterr().err
 
 
 def test_generate_needs_n_and_burst(capsys):

@@ -3,7 +3,15 @@ import json
 import pytest
 
 from goldens import RR_SEGMENTS, SMDRR_QUANTA, SMDRR_SEGMENTS
-from smdrr.engine import Segment, Trace, UnsupportedPolicyError, quantum_sequence, simulate
+from smdrr.engine import (
+    ProcessOutcome,
+    Segment,
+    Trace,
+    UnsupportedPolicyError,
+    quantum_sequence,
+    simulate,
+)
+from smdrr.metrics import ProcessMetrics
 from smdrr.policies import PolicyConfig
 from smdrr.workload import ProcessSpec, Workload, paper_case
 
@@ -146,6 +154,22 @@ def test_segment_helpers():
     seg = Segment("P1", 3, 9)
     assert seg.length == 6 and not seg.is_idle
     assert Segment(None, 0, 4).is_idle
+    assert Segment(None, 0, 4).length == 4
+    assert seg == ("P1", 3, 9)
+
+
+@pytest.mark.parametrize("record", [
+    Segment("P1", 3, 9),
+    ProcessOutcome("P1", 0, 5, 2, 9),
+    ProcessMetrics("P1", 9, 4, 2),
+])
+def test_records_are_immutable_values(record):
+    twin = type(record)(*record)
+    assert twin == record and hash(twin) == hash(record)
+    assert type(record)(*record[:-1], record[-1] + 1) != record
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
 
 
 def test_rr_policy_spelling_recorded_on_trace():

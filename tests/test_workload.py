@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smdrr.workload import (
+    MAX_PROCESSES,
     GeneratorSpec,
     ProcessSpec,
     Workload,
@@ -174,11 +175,17 @@ def test_generate_respects_ranges_and_pid_order():
         dict(count=3, burst_min=1, burst_max=2, arrival_min=4, arrival_max=1),
         dict(count=3, burst_min=1, burst_max=2, arrival_min=-1, arrival_max=1),
         dict(count=3, burst_min=1, burst_max=2, seed=1 << 64),
+        dict(count=MAX_PROCESSES + 1, burst_min=1, burst_max=2),
+        dict(count=10**12, burst_min=1, burst_max=2),
     ],
 )
 def test_generator_spec_validation(kwargs):
     with pytest.raises(WorkloadError):
         GeneratorSpec(**kwargs)
+
+
+def test_generator_spec_accepts_the_cap():
+    assert GeneratorSpec(count=MAX_PROCESSES, burst_min=1, burst_max=2).count == MAX_PROCESSES
 
 
 def test_paper_cases_validate_and_match_tables():
