@@ -1,84 +1,41 @@
 """CPU-scheduling simulator built around the subcontrary-mean dynamic
-round robin policy (SMDRR), with fixed-quantum RR, FCFS and SJF baselines."""
+round robin policy (SMDRR), with fixed-quantum RR, FCFS and SJF baselines.
 
-from .engine import (
-    ProcessOutcome,
-    Segment,
-    Trace,
-    UnsupportedPolicyError,
-    quantum_sequence,
-    simulate,
-)
-from .metrics import (
-    Convention,
-    MetricsReport,
-    ProcessMetrics,
-    compute_metrics,
-    context_switches,
-    format_decimal,
-)
-from .policies import (
-    CyclePlan,
-    PolicyConfig,
-    PolicyError,
-    ReadyEntry,
-    harmonic_mean_quantum,
-    parse_policy,
-    plan_cycle_smdrr,
-    rr_requeue_position,
-)
-from .report import (
-    ComparisonRow,
-    comparison_report,
-    metric_bars,
-    render_gantt_ascii,
-    render_gantt_svg,
-)
+The package exports the calls of a typical library session and the types
+of their results; everything else is reached through its module
+(smdrr.engine, smdrr.metrics, smdrr.policies, smdrr.report,
+smdrr.workload).
+"""
+
+from .engine import ProcessOutcome, Segment, Trace, simulate
+from .metrics import Convention, MetricsReport, ProcessMetrics, compute_metrics
+from .policies import PolicyConfig, parse_policy
 from .workload import (
     GeneratorSpec,
     ProcessSpec,
     Workload,
-    WorkloadError,
     generate_workload,
     paper_case,
     parse_workload,
-    serialize_workload,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComparisonRow",
     "Convention",
-    "CyclePlan",
     "GeneratorSpec",
     "MetricsReport",
     "PolicyConfig",
-    "PolicyError",
     "ProcessMetrics",
     "ProcessOutcome",
     "ProcessSpec",
-    "ReadyEntry",
     "Segment",
     "Trace",
-    "UnsupportedPolicyError",
     "Workload",
-    "WorkloadError",
-    "comparison_report",
     "compute_metrics",
-    "context_switches",
-    "format_decimal",
     "generate_workload",
-    "harmonic_mean_quantum",
-    "metric_bars",
     "paper_case",
     "parse_policy",
     "parse_workload",
-    "plan_cycle_smdrr",
-    "quantum_sequence",
-    "render_gantt_ascii",
-    "render_gantt_svg",
-    "rr_requeue_position",
-    "serialize_workload",
     "simulate",
 ]

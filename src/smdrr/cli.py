@@ -14,7 +14,7 @@ from .engine import Trace, json_quote, simulate
 from .errata import CASE_IDS, FIXED_RR_QUANTUM, compute_errata
 from .metrics import Convention, MetricsReport, compute_metrics, format_decimal
 from .policies import PolicyConfig, PolicyError, parse_policy
-from .report import comparison_report, render_gantt_ascii, render_gantt_svg
+from .report import _table_lines, comparison_report, render_gantt_ascii, render_gantt_svg
 from .workload import (
     GeneratorSpec,
     Workload,
@@ -122,10 +122,6 @@ def _parse_policies(specs: list[str], parser: argparse.ArgumentParser) -> list[P
         parser.error(str(exc))
 
 
-def _simulate_all(workload: Workload, policies: list[PolicyConfig]) -> list[Trace]:
-    return [simulate(workload, config) for config in policies]
-
-
 def _emit(chunks: Iterable[str], out: str | None) -> None:
     """Write chunks in order to the out file, opened once, or to stdout."""
     if out:
@@ -146,9 +142,7 @@ def _run_text(policy: PolicyConfig, trace: Trace, report: MetricsReport,
         table.append(tuple(str(v) for v in (
             outcome.pid, outcome.arrival, outcome.burst, outcome.first_start,
             outcome.completion, pm.turnaround, pm.waiting, pm.response)))
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    for row in table:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    lines += _table_lines(table)
     if trace.quanta is not None:
         lines.append("quanta: " + ",".join(str(q) for q in trace.quanta))
     lines.append(
@@ -196,7 +190,7 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error("--gantt requires --format text or json")
     workload = _load_workload(args, parser)
     convention = Convention(args.convention)
-    traces = _simulate_all(workload, policies)
+    traces = [simulate(workload, config) for config in policies]
     reports = [compute_metrics(t, convention) for t in traces]
     runs = list(zip(policies, traces, reports))
     if args.format == "json":
@@ -218,7 +212,7 @@ def cmd_compare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         parser.error("compare needs at least two --policy options")
     workload = _load_workload(args, parser)
     convention = Convention(args.convention)
-    traces = _simulate_all(workload, policies)
+    traces = [simulate(workload, config) for config in policies]
     runs = [(p, t, compute_metrics(t, convention)) for p, t in zip(policies, traces)]
     _emit([comparison_report(runs, args.format)], args.out)
     return 0

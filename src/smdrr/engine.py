@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -20,10 +19,6 @@ from .workload import Workload
 
 # The string quoting json.dumps itself uses (ensure_ascii, C accelerated).
 json_quote = json.encoder.encode_basestring_ascii
-
-
-class UnsupportedPolicyError(ValueError):
-    """Raised when a trace has no quantum sequence (FCFS/SJF)."""
 
 
 class Segment(NamedTuple):
@@ -144,8 +139,8 @@ class _Proc:
     """Mutable per-process simulation state.
 
     It carries the fields plan_cycle_smdrr reads from a ready process
-    (pid, remaining, arrival, submission_index), so the SMDRR loop hands
-    these records to it directly; RR queues the records themselves.
+    (pid, remaining, arrival, submission_index), so every ready list
+    holds these records and SMDRR hands them to the planner directly.
     """
 
     __slots__ = ("pid", "arrival", "burst", "submission_index", "remaining",
@@ -162,22 +157,84 @@ class _Proc:
 
 
 def simulate(workload: Workload, policy: PolicyConfig) -> Trace:
-    """Run one policy over one workload and return its trace."""
+    """Run one policy over one workload and return its trace.
+
+    One loop serves every policy.  It owns the clock, a cursor over the
+    arrival-sorted processes and the idle segments, and runs rounds over
+    a snapshot of the ready list; survivors and new arrivals queue behind
+    the current round, which is round robin's FIFO order.  The policies
+    differ in three ways only:
+
+    - the round: SMDRR takes plan_cycle_smdrr's order, RR and FCFS the
+      whole ready list, SJF the one process popped from a heap keyed on
+      (burst, arrival, submission index);
+    - the slice: SMDRR's cycle quantum, RR's fixed quantum, and for FCFS
+      and SJF the longest burst, so that every process runs to completion;
+    - arrivals: under RR they join ahead of each preempted process; under
+      SMDRR only between cycles, so a process turning up mid-cycle waits
+      for the round to finish before it can be planned.  FCFS and SJF
+      never preempt, so they too admit arrivals between rounds.
+    """
     procs = [
         _Proc(p.pid, p.arrival, p.burst, i)
         for i, p in enumerate(workload.processes)
     ]
-    if policy.kind == "smdrr":
-        segments, quanta = _run_smdrr(procs)
-    elif policy.kind == "rr":
-        segments = _run_rr(procs, policy.quantum)
-        quanta = [policy.quantum]
-    elif policy.kind == "fcfs":
-        segments = _run_fcfs(procs)
-        quanta = None
+    pending = sorted(procs, key=lambda p: (p.arrival, p.submission_index))
+    kind = policy.kind
+    smdrr, sjf, rr = kind == "smdrr", kind == "sjf", kind == "rr"
+    quantum = policy.quantum or max(p.burst for p in procs)
+    quanta: list[int] | None = [] if smdrr else [quantum] if rr else None
+    by_pid = {p.pid: p for p in procs} if smdrr else None
+    # SMDRR's ready list stays in the previous plan's order: every survivor
+    # lost exactly one quantum, so the planner's sort only has to merge the
+    # appended arrivals into an already sorted run.  SJF's is a heap.
+    ready: list = []
+    if sjf:
+        def admit(p: _Proc) -> None:
+            heapq.heappush(ready, (p.burst, p.arrival, p.submission_index, p))
     else:
-        segments = _run_sjf(procs)
-        quanta = None
+        admit = ready.append
+    cursor, total = 0, len(pending)
+    now = pending[0].arrival
+    segments: list[Segment] = []
+    while cursor < total or ready:
+        while cursor < total and pending[cursor].arrival <= now:
+            admit(pending[cursor])
+            cursor += 1
+        if not ready:
+            nxt = pending[cursor].arrival
+            segments.append(Segment(None, now, nxt))
+            now = nxt
+            continue
+        if sjf:
+            batch = [heapq.heappop(ready)[3]]
+        else:
+            if smdrr:
+                plan = plan_cycle_smdrr(ready)
+                quantum = plan.quantum
+                quanta.append(quantum)
+                batch = [by_pid[pid] for pid in plan.order]
+            else:
+                batch = ready.copy()
+            ready.clear()
+        for proc in batch:
+            if proc.first_start is None:
+                proc.first_start = now
+            remaining = proc.remaining
+            run = quantum if quantum < remaining else remaining
+            segments.append(Segment(proc.pid, now, now + run))
+            now += run
+            if run == remaining:
+                proc.completion = now
+                continue
+            proc.remaining = remaining - run
+            if rr:
+                # Arrivals come off the cursor already in (arrival, submission
+                # index) order and join ahead of the preempted process.
+                while cursor < total and pending[cursor].arrival <= now:
+                    admit(pending[cursor])
+                    cursor += 1
+            ready.append(proc)
     outcomes = tuple(
         ProcessOutcome(p.pid, p.arrival, p.burst, p.first_start, p.completion)
         for p in procs
@@ -189,127 +246,3 @@ def simulate(workload: Workload, policy: PolicyConfig) -> Trace:
         processes=outcomes,
         quanta=tuple(quanta) if quanta is not None else None,
     )
-
-
-def quantum_sequence(trace: Trace) -> list[int]:
-    """Quanta chosen per SMDRR cycle (single fixed value for RR)."""
-    if trace.quanta is None:
-        raise UnsupportedPolicyError(f"policy {trace.policy!r} has no quantum sequence")
-    return list(trace.quanta)
-
-
-def _by_arrival(procs: list[_Proc]) -> list[_Proc]:
-    return sorted(procs, key=lambda p: (p.arrival, p.submission_index))
-
-
-def _run_smdrr(procs: list[_Proc]) -> tuple[list[Segment], list[int]]:
-    # Arrivals are admitted only between cycles: a process turning up
-    # mid-cycle waits for the round to finish before it can be planned.
-    # The ready list stays in the previous plan's order: every survivor
-    # lost exactly one quantum, so the planner's sort only has to merge
-    # the appended arrivals into an already sorted run.
-    pending = _by_arrival(procs)
-    by_pid = {p.pid: p for p in procs}
-    cursor, total = 0, len(pending)
-    now = pending[0].arrival
-    ready: list[_Proc] = []
-    segments: list[Segment] = []
-    quanta: list[int] = []
-    while cursor < total or ready:
-        while cursor < total and pending[cursor].arrival <= now:
-            ready.append(pending[cursor])
-            cursor += 1
-        if not ready:
-            segments.append(Segment(None, now, pending[cursor].arrival))
-            now = pending[cursor].arrival
-            continue
-        plan = plan_cycle_smdrr(ready)
-        quantum = plan.quantum
-        quanta.append(quantum)
-        ready = []
-        for pid in plan.order:
-            proc = by_pid[pid]
-            if proc.first_start is None:
-                proc.first_start = now
-            run = quantum if quantum < proc.remaining else proc.remaining
-            segments.append(Segment(pid, now, now + run))
-            now += run
-            proc.remaining -= run
-            if proc.remaining:
-                ready.append(proc)
-            else:
-                proc.completion = now
-    return segments, quanta
-
-
-def _run_rr(procs: list[_Proc], quantum: int) -> list[Segment]:
-    pending = _by_arrival(procs)
-    cursor, total = 0, len(pending)
-    now = pending[0].arrival
-    queue: deque[_Proc] = deque()
-    segments: list[Segment] = []
-    while queue or cursor < total:
-        while cursor < total and pending[cursor].arrival <= now:
-            queue.append(pending[cursor])
-            cursor += 1
-        if not queue:
-            nxt = pending[cursor].arrival
-            segments.append(Segment(None, now, nxt))
-            now = nxt
-            continue
-        proc = queue.popleft()
-        if proc.first_start is None:
-            proc.first_start = now
-        run = quantum if quantum < proc.remaining else proc.remaining
-        segments.append(Segment(proc.pid, now, now + run))
-        now += run
-        proc.remaining -= run
-        if proc.remaining:
-            # Arrivals come off the cursor already in (arrival, submission
-            # index) order and join ahead of the preempted process.
-            while cursor < total and pending[cursor].arrival <= now:
-                queue.append(pending[cursor])
-                cursor += 1
-            queue.append(proc)
-        else:
-            proc.completion = now
-    return segments
-
-
-def _run_fcfs(procs: list[_Proc]) -> list[Segment]:
-    segments: list[Segment] = []
-    ordered = _by_arrival(procs)
-    now = ordered[0].arrival
-    for proc in ordered:
-        if now < proc.arrival:
-            segments.append(Segment(None, now, proc.arrival))
-            now = proc.arrival
-        proc.first_start = now
-        now += proc.burst
-        segments.append(Segment(proc.pid, proc.first_start, now))
-        proc.completion = now
-    return segments
-
-
-def _run_sjf(procs: list[_Proc]) -> list[Segment]:
-    pending = _by_arrival(procs)
-    cursor, total = 0, len(pending)
-    now = pending[0].arrival
-    heap: list[tuple[int, int, int, _Proc]] = []
-    segments: list[Segment] = []
-    while cursor < total or heap:
-        while cursor < total and pending[cursor].arrival <= now:
-            p = pending[cursor]
-            heapq.heappush(heap, (p.burst, p.arrival, p.submission_index, p))
-            cursor += 1
-        if not heap:
-            nxt = pending[cursor].arrival
-            segments.append(Segment(None, now, nxt))
-            now = nxt
-            continue
-        proc = heapq.heappop(heap)[3]
-        proc.first_start = now
-        now += proc.burst
-        segments.append(Segment(proc.pid, proc.first_start, now))
-        proc.completion = now
-    return segments

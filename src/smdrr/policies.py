@@ -63,19 +63,9 @@ def parse_policy(text: str) -> PolicyConfig:
     raise PolicyError(f"unknown policy: {text!r}")
 
 
-@dataclass(frozen=True)
-class ReadyEntry:
-    """Snapshot of one ready process as seen by a policy."""
-
-    pid: str
-    remaining: int
-    arrival: int
-    submission_index: int
-
-
 class ReadyRecord(Protocol):
-    """What the policy functions read from a ready process: a ReadyEntry
-    or the engine's own per-process record."""
+    """What the policy functions read from a ready process, such as the
+    engine's own per-process record."""
 
     @property
     def pid(self) -> str: ...

@@ -1,4 +1,4 @@
-"""Trace and metrics rendering: Gantt charts, comparison tables, bar data.
+"""Trace and metrics rendering: Gantt charts and comparison tables.
 
 Renderers copy values verbatim from traces and metric reports; no
 arithmetic happens here beyond layout.  All output is deterministic so
@@ -91,6 +91,13 @@ def render_gantt_svg(trace: Trace) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _table_lines(table: Sequence[Sequence[str]]) -> list[str]:
+    """Rows of cells as left-aligned columns two spaces apart, right-stripped."""
+    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+            for row in table]
+
+
 @dataclass(frozen=True)
 class ComparisonRow:
     algorithm: str
@@ -146,33 +153,5 @@ def comparison_report(
     if format == "text":
         header = ("Algorithm", "TQ", "TAT", "WT", "CS")
         table = [header] + [(r.algorithm, r.tq, r.tat, r.wt, str(r.cs)) for r in rows]
-        widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-        lines = [
-            "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-            for row in table
-        ]
-        return "\n".join(lines) + "\n"
+        return "\n".join(_table_lines(table)) + "\n"
     raise ValueError(f"unknown report format: {format!r}")
-
-
-def metric_bars(
-    entries: Sequence[tuple[str, str, MetricsReport]],
-    metric: str,
-) -> str:
-    """Grouped-bar plot data as CSV: one row per (case, algorithm).
-
-    entries are (case label, algorithm label, report) triples; metric is
-    one of cs, att, awt.
-    """
-    if metric not in ("cs", "att", "awt"):
-        raise ValueError(f"unknown bar metric: {metric!r}")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["case", "algorithm", "value"])
-    for case_label, algorithm, report in entries:
-        if metric == "cs":
-            value: str | int = report.cs
-        else:
-            value = format_decimal(report.att if metric == "att" else report.awt)
-        writer.writerow([case_label, algorithm, value])
-    return out.getvalue()

@@ -235,14 +235,3 @@ def test_paper_cases_byte_stable(capsys):
 
 def test_unknown_command_usage_error(capsys):
     assert run_cli_usage_error(capsys, "bench") == 2
-
-
-def test_threaded_fanout_matches_sequential_simulation():
-    from smdrr.cli import _simulate_all
-    from smdrr.engine import simulate
-    from smdrr.policies import parse_policy
-    from smdrr.workload import paper_case
-
-    w = paper_case(4)
-    policies = [parse_policy(s) for s in ("fcfs", "sjf", "rr:20", "smdrr")]
-    assert _simulate_all(w, policies) == [simulate(w, p) for p in policies]

@@ -7,8 +7,6 @@ from smdrr.engine import (
     ProcessOutcome,
     Segment,
     Trace,
-    UnsupportedPolicyError,
-    quantum_sequence,
     simulate,
 )
 from smdrr.metrics import ProcessMetrics
@@ -27,14 +25,14 @@ def segment_triples(trace):
 def test_rr_traces_match_goldens(case_id):
     trace = simulate(paper_case(case_id), RR20)
     assert segment_triples(trace) == RR_SEGMENTS[case_id]
-    assert quantum_sequence(trace) == [20]
+    assert trace.quanta == (20,)
 
 
 @pytest.mark.parametrize("case_id", [1, 2, 3, 4])
 def test_smdrr_traces_match_goldens(case_id):
     trace = simulate(paper_case(case_id), SMDRR)
     assert segment_triples(trace) == SMDRR_SEGMENTS[case_id]
-    assert quantum_sequence(trace) == SMDRR_QUANTA[case_id]
+    assert list(trace.quanta) == SMDRR_QUANTA[case_id]
 
 
 def test_case4_smdrr_completions():
@@ -94,7 +92,7 @@ def test_smdrr_mid_cycle_arrival_waits_for_next_cycle():
     w = Workload("midcycle", (ProcessSpec("P1", 0, 10), ProcessSpec("P2", 1, 1)))
     trace = simulate(w, SMDRR)
     assert segment_triples(trace) == [("P1", 0, 10), ("P2", 10, 11)]
-    assert quantum_sequence(trace) == [10, 1]
+    assert trace.quanta == (10, 1)
 
 
 def test_rr_arrivals_enqueue_ahead_of_preempted():
@@ -111,12 +109,8 @@ def test_rr_completion_at_quantum_boundary_not_requeued():
 
 
 def test_quantum_sequence_unsupported_for_nonquantum_policies():
-    trace = simulate(paper_case(1), PolicyConfig("fcfs"))
-    with pytest.raises(UnsupportedPolicyError):
-        quantum_sequence(trace)
-    trace = simulate(paper_case(1), PolicyConfig("sjf"))
-    with pytest.raises(UnsupportedPolicyError):
-        quantum_sequence(trace)
+    assert simulate(paper_case(1), PolicyConfig("fcfs")).quanta is None
+    assert simulate(paper_case(1), PolicyConfig("sjf")).quanta is None
 
 
 def test_simulate_is_deterministic():

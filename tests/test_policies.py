@@ -1,5 +1,5 @@
 import math
-from collections import deque
+from collections import deque, namedtuple
 from fractions import Fraction
 
 import pytest
@@ -9,7 +9,6 @@ from smdrr.policies import (
     CyclePlan,
     PolicyConfig,
     PolicyError,
-    ReadyEntry,
     harmonic_mean_quantum,
     parse_policy,
     plan_cycle_smdrr,
@@ -72,8 +71,12 @@ def test_harmonic_mean_quantum_matches_fraction_with_duplicates(values):
     assert harmonic_mean_quantum(values) == exact_quantum(values)
 
 
+# any record with these four fields satisfies policies.ReadyRecord
+Ready = namedtuple("Ready", "pid remaining arrival submission_index")
+
+
 def entries(*rows):
-    return [ReadyEntry(pid, rem, arr, idx) for pid, rem, arr, idx in rows]
+    return [Ready(*row) for row in rows]
 
 
 def test_plan_cycle_case1_opening():

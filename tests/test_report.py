@@ -11,7 +11,6 @@ from smdrr.policies import PolicyConfig
 from smdrr.report import (
     SVG_UNITS_PER_MS,
     comparison_report,
-    metric_bars,
     render_gantt_ascii,
     render_gantt_svg,
 )
@@ -140,42 +139,6 @@ def test_comparison_rejects_mixed_workloads():
 def test_comparison_unknown_format():
     with pytest.raises(ValueError, match="format"):
         comparison_report(paper_runs(1, RR20), "html")
-
-
-def all_case_reports(metric_config):
-    entries = []
-    for case_id in (1, 2, 3, 4):
-        for config in metric_config:
-            trace = simulate(paper_case(case_id), config)
-            entries.append((f"case-{case_id}", config.label,
-                            compute_metrics(trace, Convention.PAPER_ZERO)))
-    return entries
-
-
-def test_metric_bars_cs_all_cases():
-    out = metric_bars(all_case_reports((RR20, SMDRR)), "cs")
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["case", "algorithm", "value"]
-    values = {(case, alg): v for case, alg, v in rows[1:]}
-    assert [values[(f"case-{i}", "RR")] for i in (1, 2, 3, 4)] == ["12", "11", "9", "11"]
-    assert [values[(f"case-{i}", "SMDRR")] for i in (1, 2, 3, 4)] == ["6", "10", "4", "7"]
-    assert len(rows) == 9
-
-
-def test_metric_bars_att_case4():
-    entries = [e for e in all_case_reports((RR20, SMDRR)) if e[0] == "case-4"]
-    out = metric_bars(entries, "att")
-    rows = list(csv.reader(io.StringIO(out)))
-    assert [r[2] for r in rows[1:]] == ["125.6", "108.6"]
-
-
-def test_metric_bars_empty_is_header_only():
-    assert metric_bars([], "awt") == "case,algorithm,value\n"
-
-
-def test_metric_bars_unknown_metric():
-    with pytest.raises(ValueError, match="metric"):
-        metric_bars([], "makespan")
 
 
 def test_goldens_agree_with_comparison_rows():
