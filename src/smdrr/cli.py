@@ -11,7 +11,7 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .engine import Trace, json_quote, simulate
-from .errata import CASE_IDS, FIXED_RR_QUANTUM, compute_errata
+from .errata import CASE_IDS, compute_errata, replay_cases
 from .metrics import Convention, MetricsReport, compute_metrics, format_decimal
 from .policies import PolicyConfig, PolicyError, parse_policy
 from .report import _table_lines, comparison_report, render_gantt_ascii, render_gantt_svg
@@ -115,11 +115,19 @@ def _load_workload(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     return parse_workload(text, format, name=path.stem)
 
 
-def _parse_policies(specs: list[str], parser: argparse.ArgumentParser) -> list[PolicyConfig]:
+def _runs(args: argparse.Namespace, parser: argparse.ArgumentParser, least: int,
+          too_few: str) -> list[tuple[PolicyConfig, Trace, MetricsReport]]:
+    """Each --policy simulated over the workload, with its metrics."""
     try:
-        return [parse_policy(spec) for spec in specs]
+        policies = [parse_policy(spec) for spec in args.policy]
     except PolicyError as exc:
         parser.error(str(exc))
+    if len(policies) < least:
+        parser.error(too_few)
+    workload = _load_workload(args, parser)
+    convention = Convention(args.convention)
+    traces = [simulate(workload, config) for config in policies]
+    return [(p, t, compute_metrics(t, convention)) for p, t in zip(policies, traces)]
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
@@ -172,9 +180,9 @@ def _run_json(runs: list[tuple[PolicyConfig, Trace, MetricsReport]],
     for i, (policy, trace, report) in enumerate(runs):
         yield (f'{"," if i else ""}\n  {{\n    "policy": {json_quote(policy.spelling())},'
                '\n    "trace": ')
-        yield from trace.json_chunks(2)
+        yield from trace.json_chunks()
         yield ',\n    "metrics": '
-        yield from report.json_chunks(2)
+        yield from report.json_chunks()
         gantt = _render_gantt(trace, gantt_kind)
         if gantt is not None:
             yield ',\n    "gantt": ' + json_quote(gantt)
@@ -182,66 +190,38 @@ def _run_json(runs: list[tuple[PolicyConfig, Trace, MetricsReport]],
     yield "\n]\n"
 
 
-def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    policies = _parse_policies(args.policy, parser)
-    if not policies:
-        parser.error("run needs at least one --policy")
+def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Iterable[str]:
     if args.gantt and args.format == "csv":
         parser.error("--gantt requires --format text or json")
-    workload = _load_workload(args, parser)
-    convention = Convention(args.convention)
-    traces = [simulate(workload, config) for config in policies]
-    reports = [compute_metrics(t, convention) for t in traces]
-    runs = list(zip(policies, traces, reports))
+    runs = _runs(args, parser, 1, "run needs at least one --policy")
     if args.format == "json":
-        _emit(_run_json(runs, args.gantt), args.out)
-    elif args.format == "csv":
-        _emit([comparison_report(runs, "csv")], args.out)
-    else:
-        chunks = [
-            _run_text(policy, trace, report, _render_gantt(trace, args.gantt))
-            for policy, trace, report in runs
-        ]
-        _emit(["\n".join(chunks)], args.out)
-    return 0
+        return _run_json(runs, args.gantt)
+    if args.format == "csv":
+        return [comparison_report(runs, "csv")]
+    return ["\n".join([
+        _run_text(policy, trace, report, _render_gantt(trace, args.gantt))
+        for policy, trace, report in runs
+    ])]
 
 
-def cmd_compare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    policies = _parse_policies(args.policy, parser)
-    if len(policies) < 2:
-        parser.error("compare needs at least two --policy options")
-    workload = _load_workload(args, parser)
-    convention = Convention(args.convention)
-    traces = [simulate(workload, config) for config in policies]
-    runs = [(p, t, compute_metrics(t, convention)) for p, t in zip(policies, traces)]
-    _emit([comparison_report(runs, args.format)], args.out)
-    return 0
+def cmd_compare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Iterable[str]:
+    runs = _runs(args, parser, 2, "compare needs at least two --policy options")
+    return [comparison_report(runs, args.format)]
 
 
-def cmd_generate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_generate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Iterable[str]:
     if args.n is None:
         parser.error("generate needs --n")
-    workload = generate_workload(_generator_spec(args, parser))
-    _emit([serialize_workload(workload, args.format)], args.out)
-    return 0
+    return [serialize_workload(generate_workload(_generator_spec(args, parser)), args.format)]
 
 
-def cmd_paper_cases(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    chunks = []
-    for case_id in CASE_IDS:
-        workload = paper_case(case_id)
-        policies = [PolicyConfig("rr", FIXED_RR_QUANTUM), PolicyConfig("smdrr")]
-        runs = []
-        for config in policies:
-            trace = simulate(workload, config)
-            runs.append((config, trace, compute_metrics(trace, Convention.PAPER_ZERO)))
-        chunks.append(f"[{workload.name}]\n" + comparison_report(runs, "csv"))
-    errata = compute_errata()
-    lines = ["errata (published vs computed):"]
-    lines += [e.describe() for e in errata] or ["none"]
-    chunks.append("\n".join(lines) + "\n")
-    _emit(["\n".join(chunks)], args.out)
-    return 0
+def cmd_paper_cases(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Iterable[str]:
+    replayed = replay_cases()
+    chunks = [f"[{runs[0][1].workload_name}]\n" + comparison_report(runs, "csv")
+              for runs in replayed.values()]
+    errata = [e.describe() for e in compute_errata(replayed)] or ["none"]
+    chunks.append("\n".join(["errata (published vs computed):", *errata]) + "\n")
+    return ["\n".join(chunks)]
 
 
 _COMMANDS = {
@@ -256,13 +236,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, parser)
-    except WorkloadError as exc:
+        # Every command finishes simulating before it returns, so a workload
+        # error leaves no --out file behind.
+        _emit(_COMMANDS[args.command](args, parser), args.out)
+    except (WorkloadError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -20,6 +20,13 @@ from .workload import Workload
 # The string quoting json.dumps itself uses (ensure_ascii, C accelerated).
 json_quote = json.encoder.encode_basestring_ascii
 
+# The CLI's run document is json.dumps([{"policy", "trace", "metrics"}], indent=2),
+# so each trace and metrics object sits at depth 2.  Its keys and lists are
+# indented by I1, list items by I2 and the fields of one record by I3;
+# REC_END closes a record and OBJ_END the object itself.
+I1, I2, I3 = "\n" + "  " * 3, "\n" + "  " * 4, "\n" + "  " * 5
+REC_END, OBJ_END = I2 + "}", "\n" + "  " * 2 + "}"
+
 
 class Segment(NamedTuple):
     """One contiguous occupancy of the CPU; occupant None means idle."""
@@ -65,10 +72,6 @@ class Trace:
     def makespan(self) -> int:
         return self.segments[-1].end
 
-    @property
-    def idle_time(self) -> int:
-        return sum(s.length for s in self.segments if s.is_idle)
-
     def to_dict(self) -> dict:
         segments = []
         for s in self.segments:
@@ -95,44 +98,38 @@ class Trace:
             doc["quanta"] = list(self.quanta)
         return doc
 
-    def json_chunks(self, depth: int = 0) -> Iterator[str]:
-        """to_dict() as json.dumps(indent=2) lays it out at nesting depth, in chunks.
+    def json_chunks(self) -> Iterator[str]:
+        """to_dict() as json.dumps(indent=2) lays it out in the run document.
 
         Each segment and process is one f-string; each record list is
         joined into one chunk.
         """
-        i1, i3 = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 3)
-        close = "\n" + "  " * (depth + 2) + "}"
-        yield (f'{{{i1}"workload": {json_quote(self.workload_name)},'
-               f'{i1}"policy": {json_quote(self.policy)},{i1}"segments": ')
+        yield (f'{{{I1}"workload": {json_quote(self.workload_name)},'
+               f'{I1}"policy": {json_quote(self.policy)},{I1}"segments": ')
         yield json_list([
-            f'{{{i3}"idle": true,{i3}"start": {s.start},{i3}"end": {s.end}{close}'
+            f'{{{I3}"idle": true,{I3}"start": {s.start},{I3}"end": {s.end}{REC_END}'
             if s.occupant is None else
-            f'{{{i3}"pid": {json_quote(s.occupant)},{i3}"start": {s.start},'
-            f'{i3}"end": {s.end}{close}'
+            f'{{{I3}"pid": {json_quote(s.occupant)},{I3}"start": {s.start},'
+            f'{I3}"end": {s.end}{REC_END}'
             for s in self.segments
-        ], depth + 1)
-        yield f',{i1}"processes": '
+        ])
+        yield f',{I1}"processes": '
         yield json_list([
-            f'{{{i3}"pid": {json_quote(p.pid)},{i3}"arrival": {p.arrival},'
-            f'{i3}"burst": {p.burst},{i3}"first_start": {p.first_start},'
-            f'{i3}"completion": {p.completion}{close}'
+            f'{{{I3}"pid": {json_quote(p.pid)},{I3}"arrival": {p.arrival},'
+            f'{I3}"burst": {p.burst},{I3}"first_start": {p.first_start},'
+            f'{I3}"completion": {p.completion}{REC_END}'
             for p in self.processes
-        ], depth + 1)
+        ])
         if self.quanta is not None:
-            yield f',{i1}"quanta": ' + json_list([str(q) for q in self.quanta], depth + 1)
-        yield "\n" + "  " * depth + "}"
-
-    def to_json(self) -> str:
-        return "".join(self.json_chunks()) + "\n"
+            yield f',{I1}"quanta": ' + json_list([str(q) for q in self.quanta])
+        yield OBJ_END
 
 
-def json_list(items: list[str], depth: int) -> str:
-    """A JSON array of rendered items, laid out as json.dumps(indent=2) at depth."""
+def json_list(items: list[str]) -> str:
+    """A JSON array of rendered items, laid out as a list in a trace or metrics object."""
     if not items:
         return "[]"
-    inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+    return "[" + I2 + ("," + I2).join(items) + I1 + "]"
 
 
 class _Proc:
@@ -184,7 +181,6 @@ def simulate(workload: Workload, policy: PolicyConfig) -> Trace:
     smdrr, sjf, rr = kind == "smdrr", kind == "sjf", kind == "rr"
     quantum = policy.quantum or max(p.burst for p in procs)
     quanta: list[int] | None = [] if smdrr else [quantum] if rr else None
-    by_pid = {p.pid: p for p in procs} if smdrr else None
     # SMDRR's ready list stays in the previous plan's order: every survivor
     # lost exactly one quantum, so the planner's sort only has to merge the
     # appended arrivals into an already sorted run.  SJF's is a heap.
@@ -213,7 +209,7 @@ def simulate(workload: Workload, policy: PolicyConfig) -> Trace:
                 plan = plan_cycle_smdrr(ready)
                 quantum = plan.quantum
                 quanta.append(quantum)
-                batch = [by_pid[pid] for pid in plan.order]
+                batch = plan.order
             else:
                 batch = ready.copy()
             ready.clear()

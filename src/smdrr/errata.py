@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import simulate
-from .metrics import Convention, compute_metrics
+from .engine import Trace, simulate
+from .metrics import Convention, MetricsReport, compute_metrics
 from .policies import PolicyConfig
 from .report import ComparisonRow, build_comparison_rows
 from .workload import paper_case
@@ -52,28 +52,28 @@ class Erratum:
         )
 
 
-def computed_tables() -> dict[tuple[int, str], ComparisonRow]:
+def replay_cases() -> dict[int, list[tuple[PolicyConfig, Trace, MetricsReport]]]:
     """Replay all four cases under RR:20 and SMDRR, zero-referenced."""
-    tables = {}
+    policies = (PolicyConfig("rr", FIXED_RR_QUANTUM), PolicyConfig("smdrr"))
+    replayed = {}
     for case_id in CASE_IDS:
         workload = paper_case(case_id)
-        for config in (PolicyConfig("rr", FIXED_RR_QUANTUM), PolicyConfig("smdrr")):
-            trace = simulate(workload, config)
-            report = compute_metrics(trace, Convention.PAPER_ZERO)
-            (row,) = build_comparison_rows([(config, trace, report)])
-            tables[(case_id, config.label)] = row
-    return tables
+        traces = [simulate(workload, config) for config in policies]
+        replayed[case_id] = [(config, trace, compute_metrics(trace, Convention.PAPER_ZERO))
+                             for config, trace in zip(policies, traces)]
+    return replayed
 
 
-def compute_errata() -> list[Erratum]:
-    """Field-by-field diff of published tables against the replay."""
+def compute_errata(
+    replayed: dict[int, list[tuple[PolicyConfig, Trace, MetricsReport]]],
+) -> list[Erratum]:
+    """Field-by-field diff of the published tables against replay_cases()."""
     errata = []
-    computed = computed_tables()
-    for key, published in PUBLISHED_TABLES.items():
-        case_id, algorithm = key
-        row = computed[key]
-        for field in ("tq", "tat", "wt", "cs"):
-            have, want = getattr(row, field), getattr(published, field)
-            if str(have) != str(want):
-                errata.append(Erratum(case_id, algorithm, field, str(want), str(have)))
+    for case_id, runs in replayed.items():
+        for row in build_comparison_rows(runs):
+            published = PUBLISHED_TABLES[(case_id, row.algorithm)]
+            for field in ("tq", "tat", "wt", "cs"):
+                have, want = getattr(row, field), getattr(published, field)
+                if str(have) != str(want):
+                    errata.append(Erratum(case_id, row.algorithm, field, str(want), str(have)))
     return errata

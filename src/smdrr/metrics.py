@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .engine import Trace, json_list, json_quote
+from .engine import I1, I3, OBJ_END, REC_END, Trace, json_list, json_quote
 
 
 class Convention(enum.Enum):
@@ -76,27 +76,25 @@ class MetricsReport:
             "throughput": format_decimal(self.throughput),
         }
 
-    def json_chunks(self, depth: int = 0) -> Iterator[str]:
-        """to_dict() as json.dumps(indent=2) lays it out at nesting depth, in chunks.
+    def json_chunks(self) -> Iterator[str]:
+        """to_dict() as json.dumps(indent=2) lays it out in the run document.
 
         Each per-process entry is one f-string; the list is one chunk.
         """
-        i1, i3 = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 3)
-        close = "\n" + "  " * (depth + 2) + "}"
-        yield f'{{{i1}"convention": {json_quote(self.convention.value)},{i1}"processes": '
+        yield f'{{{I1}"convention": {json_quote(self.convention.value)},{I1}"processes": '
         yield json_list([
-            f'{{{i3}"pid": {json_quote(p.pid)},{i3}"turnaround": {p.turnaround},'
-            f'{i3}"waiting": {p.waiting},{i3}"response": {p.response}{close}'
+            f'{{{I3}"pid": {json_quote(p.pid)},{I3}"turnaround": {p.turnaround},'
+            f'{I3}"waiting": {p.waiting},{I3}"response": {p.response}{REC_END}'
             for p in self.processes
-        ], depth + 1)
-        yield (f',{i1}"att": {json_quote(format_decimal(self.att))},'
-               f'{i1}"awt": {json_quote(format_decimal(self.awt))},'
-               f'{i1}"cs": {self.cs},'
-               f'{i1}"avg_response": {json_quote(format_decimal(self.avg_response))},'
-               f'{i1}"makespan": {self.makespan},'
-               f'{i1}"cpu_utilization": {json_quote(format_decimal(self.cpu_utilization))},'
-               f'{i1}"throughput": {json_quote(format_decimal(self.throughput))}'
-               "\n" + "  " * depth + "}")
+        ])
+        yield (f',{I1}"att": {json_quote(format_decimal(self.att))},'
+               f'{I1}"awt": {json_quote(format_decimal(self.awt))},'
+               f'{I1}"cs": {self.cs},'
+               f'{I1}"avg_response": {json_quote(format_decimal(self.avg_response))},'
+               f'{I1}"makespan": {self.makespan},'
+               f'{I1}"cpu_utilization": {json_quote(format_decimal(self.cpu_utilization))},'
+               f'{I1}"throughput": {json_quote(format_decimal(self.throughput))}'
+               + OBJ_END)
 
 
 def context_switches(trace: Trace) -> int:

@@ -82,9 +82,9 @@ class ReadyRecord(Protocol):
 
 @dataclass(frozen=True)
 class CyclePlan:
-    """One SMDRR round: dispatch order plus the cycle's quantum."""
+    """One SMDRR round: the ready records in dispatch order, plus the cycle's quantum."""
 
-    order: tuple[str, ...]
+    order: list[ReadyRecord]
     quantum: int
 
 
@@ -124,7 +124,7 @@ def plan_cycle_smdrr(ready: Iterable[ReadyRecord]) -> CyclePlan:
     if not entries:
         raise ValueError("ready set is empty")
     quantum = harmonic_mean_quantum([e.remaining for e in entries])
-    return CyclePlan(tuple(e.pid for e in entries), quantum)
+    return CyclePlan(entries, quantum)
 
 
 def rr_requeue_position(

@@ -115,17 +115,20 @@ def parse_workload(text: str, format: str = "csv", name: str = "workload") -> Wo
 
 
 def _parse_csv(text: str, name: str) -> Workload:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    # Errors name the file's own line numbers; blank lines are skipped.
+    numbered = enumerate(text.splitlines(), start=1)
+    lineno, header = next(((n, line) for n, line in numbered if line.strip()), (0, ""))
+    if not header:
         raise WorkloadError("empty workload file")
-    if lines[0].strip() != _CSV_HEADER:
-        raise WorkloadError(f"line 1: header must be exactly {_CSV_HEADER!r}")
-    if len(lines) == 1:
-        raise WorkloadError("workload file has a header but no processes")
+    if header.strip() != _CSV_HEADER:
+        raise WorkloadError(f"line {lineno}: header must be exactly {_CSV_HEADER!r}")
     processes = []
     seen: set[str] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.strip().split(",")
+    for lineno, line in numbered:
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
         if len(cells) != 3:
             raise WorkloadError(f"line {lineno}: expected 3 fields, got {len(cells)}")
         pid = cells[0].strip()
@@ -140,6 +143,8 @@ def _parse_csv(text: str, name: str) -> Workload:
             processes.append(ProcessSpec(pid, arrival, burst))
         except WorkloadError as exc:
             raise WorkloadError(f"line {lineno}: {exc}") from None
+    if not processes:
+        raise WorkloadError("workload file has a header but no processes")
     return Workload(name, tuple(processes))
 
 

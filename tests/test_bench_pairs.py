@@ -1,0 +1,34 @@
+"""tools/bench_pairs.py's per-metric verdict against the parent checkout.
+
+within_bound applies BENCHMARK.json's rule: the change's median may be
+worse than the parent's by at most the metric's relative bound, in the
+metric's own direction.  The tool file is loaded read-only.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+PARENT = bench_pairs.summary([9.0, 10.0, 10.0, 11.0])
+
+
+@pytest.mark.parametrize(
+    "change,better,within",
+    [
+        ([12.0, 12.4, 12.4, 13.0], "lower", True),    # +24% on a 25% bound
+        ([12.0, 12.6, 12.6, 13.0], "lower", False),   # +26%
+        ([5.0, 5.0, 5.0, 5.0], "lower", True),        # better
+        ([7.0, 7.6, 7.6, 8.0], "higher", True),       # -24%
+        ([7.0, 7.4, 7.4, 8.0], "higher", False),      # -26%
+        ([20.0, 20.0, 20.0, 20.0], "higher", True),   # better
+    ],
+)
+def test_within_bound(change, better, within):
+    result = bench_pairs.compare(PARENT, bench_pairs.summary(change), better, 0.25)
+    assert result["within_bound"] is within

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import smdrr.cli
+import smdrr.errata
 from goldens import EXPECTED_ERRATA
 from smdrr.cli import main
 from smdrr.workload import MAX_PROCESSES, parse_workload
@@ -225,6 +227,22 @@ def test_paper_cases_output(capsys):
         expected = (f"case {case_id} {algorithm} {field}: "
                     f"published {published}, computed {computed}")
         assert expected in errata_lines
+
+
+def test_paper_cases_replays_each_run_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(simulate):
+        def wrapper(workload, policy):
+            calls.append(policy)
+            return simulate(workload, policy)
+        return wrapper
+
+    for module in (smdrr.cli, smdrr.errata):
+        monkeypatch.setattr(module, "simulate", counted(module.simulate))
+    code, _, _ = run_cli(capsys, "paper-cases")
+    assert code == 0
+    assert len(calls) == 8  # cases 1-4, each under RR:20 and SMDRR
 
 
 def test_paper_cases_byte_stable(capsys):

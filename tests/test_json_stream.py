@@ -83,9 +83,3 @@ def test_streamed_run_json_equals_indent_dump(doc, policies, convention, gantt, 
         assert buf.getvalue() == ""
     assert text == reference(doc, policies, convention, gantt)
 
-
-@given(doc=workload_docs(), policy=st.sampled_from(POLICIES))
-@settings(max_examples=80, deadline=None)
-def test_trace_to_json_equals_indent_dump(doc, policy):
-    trace = simulate(parse_workload(json.dumps(doc), "json"), parse_policy(policy))
-    assert trace.to_json() == json.dumps(trace.to_dict(), indent=2) + "\n"

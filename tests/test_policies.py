@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smdrr.policies import (
-    CyclePlan,
     PolicyConfig,
     PolicyError,
     harmonic_mean_quantum,
@@ -82,23 +81,26 @@ def entries(*rows):
 def test_plan_cycle_case1_opening():
     ready = entries(("P1", 20, 0, 0), ("P2", 40, 0, 1), ("P3", 83, 0, 2), ("P4", 90, 0, 3))
     plan = plan_cycle_smdrr(ready)
-    assert plan == CyclePlan(("P1", "P2", "P3", "P4"), 41)
+    assert [e.pid for e in plan.order] == ["P1", "P2", "P3", "P4"]
+    assert plan.quantum == 41
 
 
 def test_plan_cycle_case1_second_round():
     plan = plan_cycle_smdrr(entries(("P3", 42, 0, 2), ("P4", 49, 0, 3)))
-    assert plan == CyclePlan(("P3", "P4"), 46)
+    assert [e.pid for e in plan.order] == ["P3", "P4"]
+    assert plan.quantum == 46
 
 
 def test_plan_cycle_case4_third_round():
     plan = plan_cycle_smdrr(entries(("P3", 15, 6, 2), ("P4", 25, 11, 3), ("P5", 68, 21, 4)))
-    assert plan == CyclePlan(("P3", "P4", "P5"), 25)
+    assert [e.pid for e in plan.order] == ["P3", "P4", "P5"]
+    assert plan.quantum == 25
 
 
 def test_plan_cycle_tie_breaks():
     # equal remaining: earlier arrival wins, then submission order
     ready = entries(("B", 10, 4, 1), ("A", 10, 2, 0), ("C", 10, 2, 2))
-    assert plan_cycle_smdrr(ready).order == ("A", "C", "B")
+    assert [e.pid for e in plan_cycle_smdrr(ready).order] == ["A", "C", "B"]
 
 
 def test_plan_cycle_is_deterministic():

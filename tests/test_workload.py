@@ -37,6 +37,13 @@ def test_parse_csv_case1():
         ("pid,arrival,burst\n", "no processes"),
         ("", "empty workload file"),
         ("pid,burst,arrival\nP1,0,5\n", "header"),
+        # line numbers count the file's blank lines
+        ("pid,arrival,burst\n\nP1,0,x\n", "line 3: burst"),
+        ("pid,arrival,burst\nP1,0,5\n  \n\nP2,0\n", "line 5: expected 3 fields"),
+        ("\n\npid,burst,arrival\nP1,0,5\n", "line 3: header"),
+        ("\n \npid,arrival,burst\nP1,0,5\nP1,0,5\n", "line 5: duplicate pid"),
+        ("\n \n", "empty workload file"),
+        ("pid,arrival,burst\n\n \n", "no processes"),
     ],
 )
 def test_parse_csv_errors(text, fragment):

@@ -11,7 +11,8 @@ and workload, each end-to-end metric's median, quartiles, relative
 spread and values, and each per-layer metric's median; then the change's
 median over the parent's median, the pairs the change won and whether
 the medians differ by more than the parent's quartile distance, per
-end-to-end metric; and ``tools/scale_sweep.py --json`` for both
+end-to-end metric, with whether that median stays within the metric's
+BENCHMARK.json bound; and ``tools/scale_sweep.py --json`` for both
 checkouts, run in SWEEP_ROUNDS rounds that alternate which checkout
 goes first, keeping each cell's fastest run.  Every run must
 report ``correct: true``, or the script stops.
@@ -50,13 +51,17 @@ def summary(values: list[float]) -> dict:
             "spread": (q3 - q1) / median if median else 0.0, "values": values}
 
 
-def compare(parent: dict, change: dict, better: str) -> dict:
-    """Change against parent for one metric: median ratio, pairs won, and
-    whether the medians differ by more than the parent's quartile distance."""
+def compare(parent: dict, change: dict, better: str, bound: float) -> dict:
+    """Change against parent for one metric: median ratio, pairs won,
+    whether the medians differ by more than the parent's quartile distance,
+    and whether the change's median is worse than the parent's by no more
+    than the metric's BENCHMARK.json bound (a report, not a gate)."""
     sign = 1 if better == "lower" else -1
     pairs = list(zip(parent["values"], change["values"]))
+    ratio = change["median"] / parent["median"]
     return {
-        "median_ratio": change["median"] / parent["median"],
+        "median_ratio": ratio,
+        "within_bound": ratio <= 1 + bound if better == "lower" else ratio >= 1 - bound,
         "change_wins": sum(1 for p, c in pairs if sign * (p - c) > 0),
         "pairs": len(pairs),
         "beyond_parent_iqr": sign * (parent["median"] - change["median"])
@@ -132,9 +137,10 @@ def main(argv: list[str] | None = None) -> int:
                      "interleaved": True},
     }
     result.update(record(roots, workloads, args.seed, seconds))
-    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    declared_e2e = {m["name"]: m for m in declared["end_to_end"]}
     result["change_over_parent"] = {
-        w: {n: compare(result["parent"][w]["end_to_end"][n], s, better[n])
+        w: {n: compare(result["parent"][w]["end_to_end"][n], s,
+                       declared_e2e[n]["better"], declared_e2e[n]["bound"])
             for n, s in result["change"][w]["end_to_end"].items()}
         for w in workloads
     }
