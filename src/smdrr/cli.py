@@ -6,16 +6,18 @@ Exit codes: 0 success, 1 workload/data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
-from .engine import Trace, json_quote, simulate
+from .engine import Trace, simulate
 from .errata import CASE_IDS, compute_errata, replay_cases
 from .metrics import Convention, MetricsReport, compute_metrics, format_decimal
 from .policies import PolicyConfig, PolicyError, parse_policy
 from .report import _table_lines, comparison_report, render_gantt_ascii, render_gantt_svg
 from .workload import (
+    _INT_RE,
     GeneratorSpec,
     Workload,
     WorkloadError,
@@ -26,25 +28,32 @@ from .workload import (
 )
 
 
+def _int(text: str) -> int:
+    """An integer argument, read by the workload files' base-10 ASCII rule."""
+    if not _INT_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected a base-10 integer, got {text!r}")
+    return int(text)
+
+
 def _range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    if not sep or not lo.lstrip("-").isdigit() or not hi.lstrip("-").isdigit():
+    if not (sep and _INT_RE.fullmatch(lo) and _INT_RE.fullmatch(hi)):
         raise argparse.ArgumentTypeError(f"expected a..b, got {text!r}")
     return int(lo), int(hi)
 
 
 def _add_source_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workload", metavar="PATH", help="workload file (.json, else CSV)")
-    parser.add_argument("--case", type=int, choices=CASE_IDS, help="built-in case 1-4")
+    parser.add_argument("--case", type=_int, choices=CASE_IDS, help="built-in case 1-4")
     _add_generator_options(parser)
 
 
 def _add_generator_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, help="generate: process count")
+    parser.add_argument("--n", type=_int, help="generate: process count")
     parser.add_argument("--burst", type=_range, metavar="A..B", help="generate: burst range (ms)")
     parser.add_argument("--arrival", type=_range, metavar="A..B", default=(0, 0),
                         help="generate: arrival range (ms), default 0..0")
-    parser.add_argument("--seed", type=int, default=0, help="generate: 64-bit seed")
+    parser.add_argument("--seed", type=_int, default=0, help="generate: 64-bit seed")
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -86,14 +95,7 @@ def _generator_spec(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     if args.burst is None:
         parser.error("generator needs --burst A..B")
     try:
-        return GeneratorSpec(
-            count=args.n,
-            burst_min=args.burst[0],
-            burst_max=args.burst[1],
-            arrival_min=args.arrival[0],
-            arrival_max=args.arrival[1],
-            seed=args.seed,
-        )
+        return GeneratorSpec(args.n, *args.burst, *args.arrival, args.seed)
     except WorkloadError as exc:
         parser.error(str(exc))
 
@@ -108,8 +110,8 @@ def _load_workload(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         return generate_workload(_generator_spec(args, parser))
     path = Path(args.workload)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise WorkloadError(f"cannot read workload {path}: {exc}") from None
     format = "json" if path.suffix == ".json" else "csv"
     return parse_workload(text, format, name=path.stem)
@@ -133,7 +135,7 @@ def _runs(args: argparse.Namespace, parser: argparse.ArgumentParser, least: int,
 def _emit(chunks: Iterable[str], out: str | None) -> None:
     """Write chunks in order to the out file, opened once, or to stdout."""
     if out:
-        with open(out, "w") as f:
+        with open(out, "w", encoding="utf-8") as f:
             f.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
@@ -173,6 +175,67 @@ def _render_gantt(trace: Trace, kind: str | None) -> str | None:
     return None
 
 
+# The string quoting json.dumps itself uses (ensure_ascii, C accelerated).
+json_quote = json.encoder.encode_basestring_ascii
+
+# The run document is json.dumps([{"policy", "trace", "metrics"}], indent=2):
+# each run object sits at depth 1 and its keys at depth 2.  The keys of a
+# trace or metrics object are indented by I1, their list items by I2 and
+# the fields of one record by I3; REC_END closes a record and OBJ_END the
+# trace or metrics object itself.  Each record is one f-string and each
+# record list one chunk.
+I1, I2, I3 = "\n" + "  " * 3, "\n" + "  " * 4, "\n" + "  " * 5
+REC_END, OBJ_END = I2 + "}", "\n" + "  " * 2 + "}"
+
+
+def json_list(items: list[str]) -> str:
+    """A JSON array of rendered items, laid out as a list in a trace or metrics object."""
+    if not items:
+        return "[]"
+    return "[" + I2 + ("," + I2).join(items) + I1 + "]"
+
+
+def _trace_json(trace: Trace) -> Iterator[str]:
+    """trace.to_dict() as the run document lays it out."""
+    yield (f'{{{I1}"workload": {json_quote(trace.workload_name)},'
+           f'{I1}"policy": {json_quote(trace.policy)},{I1}"segments": ')
+    yield json_list([
+        f'{{{I3}"idle": true,{I3}"start": {s.start},{I3}"end": {s.end}{REC_END}'
+        if s.occupant is None else
+        f'{{{I3}"pid": {json_quote(s.occupant)},{I3}"start": {s.start},'
+        f'{I3}"end": {s.end}{REC_END}'
+        for s in trace.segments
+    ])
+    yield f',{I1}"processes": '
+    yield json_list([
+        f'{{{I3}"pid": {json_quote(p.pid)},{I3}"arrival": {p.arrival},'
+        f'{I3}"burst": {p.burst},{I3}"first_start": {p.first_start},'
+        f'{I3}"completion": {p.completion}{REC_END}'
+        for p in trace.processes
+    ])
+    if trace.quanta is not None:
+        yield f',{I1}"quanta": ' + json_list([str(q) for q in trace.quanta])
+    yield OBJ_END
+
+
+def _metrics_json(report: MetricsReport) -> Iterator[str]:
+    """report.to_dict() as the run document lays it out."""
+    yield f'{{{I1}"convention": {json_quote(report.convention.value)},{I1}"processes": '
+    yield json_list([
+        f'{{{I3}"pid": {json_quote(p.pid)},{I3}"turnaround": {p.turnaround},'
+        f'{I3}"waiting": {p.waiting},{I3}"response": {p.response}{REC_END}'
+        for p in report.processes
+    ])
+    yield (f',{I1}"att": {json_quote(format_decimal(report.att))},'
+           f'{I1}"awt": {json_quote(format_decimal(report.awt))},'
+           f'{I1}"cs": {report.cs},'
+           f'{I1}"avg_response": {json_quote(format_decimal(report.avg_response))},'
+           f'{I1}"makespan": {report.makespan},'
+           f'{I1}"cpu_utilization": {json_quote(format_decimal(report.cpu_utilization))},'
+           f'{I1}"throughput": {json_quote(format_decimal(report.throughput))}'
+           + OBJ_END)
+
+
 def _run_json(runs: list[tuple[PolicyConfig, Trace, MetricsReport]],
               gantt_kind: str | None) -> Iterator[str]:
     """The run documents, byte for byte as json.dumps([...], indent=2) + "\\n"."""
@@ -180,9 +243,9 @@ def _run_json(runs: list[tuple[PolicyConfig, Trace, MetricsReport]],
     for i, (policy, trace, report) in enumerate(runs):
         yield (f'{"," if i else ""}\n  {{\n    "policy": {json_quote(policy.spelling())},'
                '\n    "trace": ')
-        yield from trace.json_chunks()
+        yield from _trace_json(trace)
         yield ',\n    "metrics": '
-        yield from report.json_chunks()
+        yield from _metrics_json(report)
         gantt = _render_gantt(trace, gantt_kind)
         if gantt is not None:
             yield ',\n    "gantt": ' + json_quote(gantt)

@@ -8,25 +8,12 @@ previous one ended, with idle segments filling any CPU gaps.
 from __future__ import annotations
 
 import heapq
-import json
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 # Not called here: smdrr.engine.rr_requeue_position is a perfbench LAYERS target.
 from .policies import PolicyConfig, plan_cycle_smdrr, rr_requeue_position  # noqa: F401
 from .workload import Workload
-
-# The string quoting json.dumps itself uses (ensure_ascii, C accelerated).
-json_quote = json.encoder.encode_basestring_ascii
-
-# The CLI's run document is json.dumps([{"policy", "trace", "metrics"}], indent=2),
-# so each trace and metrics object sits at depth 2.  Its keys and lists are
-# indented by I1, list items by I2 and the fields of one record by I3;
-# REC_END closes a record and OBJ_END the object itself.
-I1, I2, I3 = "\n" + "  " * 3, "\n" + "  " * 4, "\n" + "  " * 5
-REC_END, OBJ_END = I2 + "}", "\n" + "  " * 2 + "}"
-
 
 class Segment(NamedTuple):
     """One contiguous occupancy of the CPU; occupant None means idle."""
@@ -97,39 +84,6 @@ class Trace:
         if self.quanta is not None:
             doc["quanta"] = list(self.quanta)
         return doc
-
-    def json_chunks(self) -> Iterator[str]:
-        """to_dict() as json.dumps(indent=2) lays it out in the run document.
-
-        Each segment and process is one f-string; each record list is
-        joined into one chunk.
-        """
-        yield (f'{{{I1}"workload": {json_quote(self.workload_name)},'
-               f'{I1}"policy": {json_quote(self.policy)},{I1}"segments": ')
-        yield json_list([
-            f'{{{I3}"idle": true,{I3}"start": {s.start},{I3}"end": {s.end}{REC_END}'
-            if s.occupant is None else
-            f'{{{I3}"pid": {json_quote(s.occupant)},{I3}"start": {s.start},'
-            f'{I3}"end": {s.end}{REC_END}'
-            for s in self.segments
-        ])
-        yield f',{I1}"processes": '
-        yield json_list([
-            f'{{{I3}"pid": {json_quote(p.pid)},{I3}"arrival": {p.arrival},'
-            f'{I3}"burst": {p.burst},{I3}"first_start": {p.first_start},'
-            f'{I3}"completion": {p.completion}{REC_END}'
-            for p in self.processes
-        ])
-        if self.quanta is not None:
-            yield f',{I1}"quanta": ' + json_list([str(q) for q in self.quanta])
-        yield OBJ_END
-
-
-def json_list(items: list[str]) -> str:
-    """A JSON array of rendered items, laid out as a list in a trace or metrics object."""
-    if not items:
-        return "[]"
-    return "[" + I2 + ("," + I2).join(items) + I1 + "]"
 
 
 class _Proc:

@@ -16,12 +16,11 @@ sandwich is one switch.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .engine import I1, I3, OBJ_END, REC_END, Trace, json_list, json_quote
+from .engine import Trace
 
 
 class Convention(enum.Enum):
@@ -75,26 +74,6 @@ class MetricsReport:
             "cpu_utilization": format_decimal(self.cpu_utilization),
             "throughput": format_decimal(self.throughput),
         }
-
-    def json_chunks(self) -> Iterator[str]:
-        """to_dict() as json.dumps(indent=2) lays it out in the run document.
-
-        Each per-process entry is one f-string; the list is one chunk.
-        """
-        yield f'{{{I1}"convention": {json_quote(self.convention.value)},{I1}"processes": '
-        yield json_list([
-            f'{{{I3}"pid": {json_quote(p.pid)},{I3}"turnaround": {p.turnaround},'
-            f'{I3}"waiting": {p.waiting},{I3}"response": {p.response}{REC_END}'
-            for p in self.processes
-        ])
-        yield (f',{I1}"att": {json_quote(format_decimal(self.att))},'
-               f'{I1}"awt": {json_quote(format_decimal(self.awt))},'
-               f'{I1}"cs": {self.cs},'
-               f'{I1}"avg_response": {json_quote(format_decimal(self.avg_response))},'
-               f'{I1}"makespan": {self.makespan},'
-               f'{I1}"cpu_utilization": {json_quote(format_decimal(self.cpu_utilization))},'
-               f'{I1}"throughput": {json_quote(format_decimal(self.throughput))}'
-               + OBJ_END)
 
 
 def context_switches(trace: Trace) -> int:

@@ -12,6 +12,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, MutableSequence, Protocol, Sequence
 
+from .workload import _INT_RE
+
 KINDS = ("smdrr", "rr", "fcfs", "sjf")
 
 _LABELS = {"smdrr": "SMDRR", "rr": "RR", "fcfs": "FCFS", "sjf": "SJF"}
@@ -57,7 +59,7 @@ def parse_policy(text: str) -> PolicyConfig:
         raise PolicyError("rr requires a quantum, e.g. rr:20")
     if text.startswith("rr:"):
         raw = text[3:]
-        if not raw.isdigit() or int(raw) < 1:
+        if not _INT_RE.fullmatch(raw) or int(raw) < 1:
             raise PolicyError(f"rr quantum must be a positive integer, got {raw!r}")
         return PolicyConfig("rr", int(raw))
     raise PolicyError(f"unknown policy: {text!r}")

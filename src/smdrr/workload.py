@@ -11,6 +11,9 @@ import re
 from dataclasses import dataclass
 
 _INT_RE = re.compile(r"-?[0-9]+", re.ASCII)
+# Pids are labels in CSV cells, SVG text and the ASCII lane, so they hold
+# no comma, markup character, bar or space.
+_PID_RE = re.compile(r"[A-Za-z0-9_.:-]+")
 _CSV_HEADER = "pid,arrival,burst"
 _MASK64 = (1 << 64) - 1
 # Generator size cap: a hostile --n fails at once instead of exhausting memory.
@@ -30,8 +33,9 @@ class ProcessSpec:
     burst: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.pid, str) or not self.pid:
-            raise WorkloadError("pid must be a non-empty string")
+        if not isinstance(self.pid, str) or not _PID_RE.fullmatch(self.pid):
+            raise WorkloadError("pid is empty" if self.pid == "" else
+                                f"pid {self.pid!r} does not match {_PID_RE.pattern}")
         if not isinstance(self.arrival, int) or isinstance(self.arrival, bool):
             raise WorkloadError(f"process {self.pid}: arrival must be an integer")
         if not isinstance(self.burst, int) or isinstance(self.burst, bool):
@@ -122,30 +126,20 @@ def _parse_csv(text: str, name: str) -> Workload:
         raise WorkloadError("empty workload file")
     if header.strip() != _CSV_HEADER:
         raise WorkloadError(f"line {lineno}: header must be exactly {_CSV_HEADER!r}")
-    processes = []
-    seen: set[str] = set()
-    for lineno, line in numbered:
-        line = line.strip()
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != 3:
-            raise WorkloadError(f"line {lineno}: expected 3 fields, got {len(cells)}")
-        pid = cells[0].strip()
-        if not pid:
-            raise WorkloadError(f"line {lineno}: pid is empty")
-        if pid in seen:
-            raise WorkloadError(f"line {lineno}: duplicate pid {pid}")
-        seen.add(pid)
-        arrival = _parse_int(cells[1].strip(), f"line {lineno}", "arrival")
-        burst = _parse_int(cells[2].strip(), f"line {lineno}", "burst")
-        try:
-            processes.append(ProcessSpec(pid, arrival, burst))
-        except WorkloadError as exc:
-            raise WorkloadError(f"line {lineno}: {exc}") from None
-    if not processes:
-        raise WorkloadError("workload file has a header but no processes")
-    return Workload(name, tuple(processes))
+
+    def rows():
+        for lineno, line in numbered:
+            line = line.strip()
+            if not line:
+                continue
+            cells = line.split(",")
+            if len(cells) != 3:
+                raise WorkloadError(f"line {lineno}: expected 3 fields, got {len(cells)}")
+            where = f"line {lineno}"
+            yield (where, cells[0].strip(), _parse_int(cells[1].strip(), where, "arrival"),
+                   _parse_int(cells[2].strip(), where, "burst"))
+
+    return Workload(name, _processes(rows()))
 
 
 def _parse_json(text: str) -> Workload:
@@ -157,29 +151,37 @@ def _parse_json(text: str) -> Workload:
         raise WorkloadError("top level must be an object")
     if not isinstance(doc.get("name"), str):
         raise WorkloadError("field 'name' must be a string")
-    rows = doc.get("processes")
-    if not isinstance(rows, list) or not rows:
+    records = doc.get("processes")
+    if not isinstance(records, list) or not records:
         raise WorkloadError("field 'processes' must be a non-empty array")
+
+    def rows():
+        for i, row in enumerate(records):
+            where = f"processes[{i}]"
+            if not isinstance(row, dict):
+                raise WorkloadError(f"{where}: must be an object")
+            for field in ("pid", "arrival", "burst"):
+                if field not in row:
+                    raise WorkloadError(f"{where}: missing field {field!r}")
+            yield where, row["pid"], row["arrival"], row["burst"]
+
+    return Workload(doc["name"], _processes(rows()))
+
+
+def _processes(rows) -> tuple[ProcessSpec, ...]:
+    """One ProcessSpec per (where, pid, arrival, burst) row, each error
+    prefixed by its row's location, duplicate pids included."""
     processes = []
-    for i, row in enumerate(rows):
-        where = f"processes[{i}]"
-        if not isinstance(row, dict):
-            raise WorkloadError(f"{where}: must be an object")
-        for field in ("pid", "arrival", "burst"):
-            if field not in row:
-                raise WorkloadError(f"{where}: missing field {field!r}")
-        for field in ("arrival", "burst"):
-            value = row[field]
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise WorkloadError(f"{where}: {field} must be an integer")
+    seen: set[str] = set()
+    for where, pid, arrival, burst in rows:
         try:
-            processes.append(ProcessSpec(row["pid"], row["arrival"], row["burst"]))
+            processes.append(ProcessSpec(pid, arrival, burst))
         except WorkloadError as exc:
             raise WorkloadError(f"{where}: {exc}") from None
-    try:
-        return Workload(doc["name"], tuple(processes))
-    except WorkloadError as exc:
-        raise WorkloadError(f"workload: {exc}") from None
+        if pid in seen:
+            raise WorkloadError(f"{where}: duplicate pid {pid}")
+        seen.add(pid)
+    return tuple(processes)
 
 
 def serialize_workload(w: Workload, format: str = "csv") -> str:

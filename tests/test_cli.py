@@ -206,6 +206,37 @@ def test_generate_malformed_range(capsys):
     assert run_cli_usage_error(capsys, "generate", "--n", "5", "--burst", "10") == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "--case", "1", "--policy", "rr:²"),
+    ("run", "--case", "1", "--policy", "rr:٣"),
+    ("run", "--case", "１", "--policy", "smdrr"),
+    ("generate", "--n", "2", "--burst", "1..٣"),
+    ("generate", "--n", "2", "--burst", "1..3", "--arrival", "٠..3"),
+    ("generate", "--n", "２", "--burst", "1..3"),
+    ("generate", "--n", " 5", "--burst", "1..3"),
+    ("generate", "--n", "1_000", "--burst", "1..3"),
+    ("generate", "--n", "2", "--burst", "1..3", "--seed", "1_000"),
+    ("generate", "--n", "2", "--burst", "1..3", "--seed", "٣"),
+])
+def test_numbers_follow_the_ascii_integer_rule(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+    assert "error: " in captured.err
+
+
+def test_undecodable_workload_file_is_data_error(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"pid,arrival,burst\nP1,0,5\xff\n")
+    code, out, err = run_cli(capsys, "run", "--workload", str(path), "--policy", "smdrr")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and "position 24" in err
+
+
 def test_generated_source_feeds_run(capsys):
     code, out, _ = run_cli(capsys, "run", "--n", "4", "--burst", "5..9", "--seed", "3",
                            "--policy", "smdrr", "--format", "json")

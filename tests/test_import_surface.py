@@ -1,0 +1,31 @@
+"""The top-level modules the package imports, pinned.
+
+Each module the package loads adds to its startup time, which the
+benchmark gates as setup_s.  A change that adds or drops a module
+updates EXPECTED and says why.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "smdrr"
+EXPECTED = {
+    "__future__", "argparse", "collections", "csv", "dataclasses", "enum", "fractions",
+    "heapq", "io", "json", "math", "pathlib", "re", "sys", "typing",
+}
+
+
+def imported_modules() -> set[str]:
+    """Top-level names of every absolute import in src/smdrr/*.py, at any depth."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.partition(".")[0])
+    return found
+
+
+def test_package_imports_only_the_pinned_modules():
+    assert imported_modules() == EXPECTED

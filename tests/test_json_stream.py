@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import string
 import tempfile
 from pathlib import Path
 
@@ -24,17 +25,20 @@ texts = st.one_of(
     st.text(min_size=1, max_size=6),
     st.lists(st.sampled_from(_AWKWARD), min_size=1, max_size=4).map("".join),
 )
+# Pids come from the workload pid grammar; names stay arbitrary text, so
+# string quoting is still compared with json.dumps.
+pids = st.text(string.ascii_letters + string.digits + "_.:-", min_size=1, max_size=6)
 
 
 @st.composite
 def workload_docs(draw):
-    """A JSON workload with arbitrary pids; spread arrivals leave idle gaps."""
-    pids = draw(st.lists(texts, min_size=1, max_size=6, unique=True))
+    """A JSON workload with an arbitrary name; spread arrivals leave idle gaps."""
+    labels = draw(st.lists(pids, min_size=1, max_size=6, unique=True))
     return {
         "name": draw(st.one_of(st.just(""), texts)),
         "processes": [
             {"pid": pid, "arrival": draw(st.integers(0, 80)), "burst": draw(st.integers(1, 25))}
-            for pid in pids
+            for pid in labels
         ],
     }
 

@@ -154,7 +154,9 @@ def test_parse_policy(text, config):
     assert parse_policy(text).spelling() == text
 
 
-@pytest.mark.parametrize("text", ["rr", "rr:", "rr:0", "rr:-3", "rr:2.5", "mlfq", "RR:20", ""])
+# rr:² made int() raise and rr:٣ read as rr:3 while quanta were checked by str.isdigit
+@pytest.mark.parametrize("text", ["rr", "rr:", "rr:0", "rr:-3", "rr:2.5", "mlfq", "RR:20", "",
+                                  "rr:²", "rr:٣", "rr:２", "rr: 5", "rr:1_0"])
 def test_parse_policy_rejects(text):
     with pytest.raises(PolicyError):
         parse_policy(text)

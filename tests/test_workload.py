@@ -1,3 +1,5 @@
+import json
+import re
 import string
 
 import pytest
@@ -43,6 +45,7 @@ def test_parse_csv_case1():
         ("\n\npid,burst,arrival\nP1,0,5\n", "line 3: header"),
         ("\n \npid,arrival,burst\nP1,0,5\nP1,0,5\n", "line 5: duplicate pid"),
         ("\n \n", "empty workload file"),
+        ("pid,arrival,burst\nP1,0,5\na|b,0,5\n", r"line 3: pid 'a\|b' does not match"),
         ("pid,arrival,burst\n\n \n", "no processes"),
     ],
 )
@@ -75,6 +78,10 @@ def test_parse_json_case():
         ('{"name": "w", "processes": [{"pid": "P1", "arrival": true, "burst": 5}]}',
          "arrival must be an integer"),
         ("{not json", "invalid JSON"),
+        ('{"name": "w", "processes": [{"pid": "P1", "arrival": 0, "burst": 1},'
+         ' {"pid": "P1", "arrival": 0, "burst": 2}]}', r"^processes\[1\]: duplicate pid P1$"),
+        ('{"name": "w", "processes": [{"pid": "<b>&", "arrival": 0, "burst": 1}]}',
+         r"^processes\[0\]: pid '<b>&' does not match"),
     ],
 )
 def test_parse_json_errors(text, fragment):
@@ -114,6 +121,37 @@ def test_process_spec_validation():
         ProcessSpec("P1", 0, 0)
     with pytest.raises(WorkloadError):
         ProcessSpec("P1", -3, 1)
+
+
+# The pid grammar, stated here independently of smdrr.workload.
+PID = re.compile(r"[A-Za-z0-9_.:-]+")
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+candidate_pids = st.one_of(
+    st.sampled_from(["a,b", " P1 ", "<b>&", "a|b", "", "P1", "é", "P١", "\tP2", "a b"]),
+    st.text(max_size=6),
+    st.text(string.ascii_letters + string.digits + "_.:-", min_size=1, max_size=6),
+)
+
+
+@given(candidate_pids.filter(lambda pid: not any(c in _LINE_BREAKS for c in pid)))
+def test_csv_accepts_a_pid_exactly_when_its_trimmed_cell_matches_the_grammar(pid):
+    # A line break in the cell would start a new row, so it is left out here.
+    text = f"pid,arrival,burst\n{pid},0,5\n"
+    if PID.fullmatch(pid.strip()):
+        assert parse_workload(text, "csv").processes == (ProcessSpec(pid.strip(), 0, 5),)
+    else:
+        with pytest.raises(WorkloadError, match=r"^line 2: "):
+            parse_workload(text, "csv")
+
+
+@given(st.one_of(candidate_pids, st.integers(), st.just(None)))
+def test_json_accepts_a_pid_exactly_when_it_matches_the_grammar(pid):
+    text = json.dumps({"name": "w", "processes": [{"pid": pid, "arrival": 0, "burst": 5}]})
+    if isinstance(pid, str) and PID.fullmatch(pid):
+        assert parse_workload(text, "json").processes == (ProcessSpec(pid, 0, 5),)
+    else:
+        with pytest.raises(WorkloadError, match=r"^processes\[0\]: "):
+            parse_workload(text, "json")
 
 
 pid_strategy = st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=8)
