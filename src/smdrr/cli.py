@@ -143,8 +143,10 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
 
 def _run_text(policy: PolicyConfig, trace: Trace, report: MetricsReport,
               gantt: str | None) -> str:
-    lines = [f"== {policy.label} on {trace.workload_name} "
-             f"(convention: {report.convention.value}) =="]
+    name = trace.workload_name
+    if not name.isprintable():  # a line break would split the header
+        name = json_quote(name)
+    lines = [f"== {policy.label} on {name} (convention: {report.convention.value}) =="]
     header = ("pid", "arrival", "burst", "first_start", "completion",
               "turnaround", "waiting", "response")
     table = [header]

@@ -130,7 +130,8 @@ def simulate(workload: Workload, policy: PolicyConfig) -> Trace:
         _Proc(p.pid, p.arrival, p.burst, i)
         for i, p in enumerate(workload.processes)
     ]
-    pending = sorted(procs, key=lambda p: (p.arrival, p.submission_index))
+    # A stable sort of submission-ordered procs: arrival ties keep that order.
+    pending = sorted(procs, key=lambda p: p.arrival)
     kind = policy.kind
     smdrr, sjf, rr = kind == "smdrr", kind == "sjf", kind == "rr"
     quantum = policy.quantum or max(p.burst for p in procs)
@@ -160,10 +161,8 @@ def simulate(workload: Workload, policy: PolicyConfig) -> Trace:
             batch = [heapq.heappop(ready)[3]]
         else:
             if smdrr:
-                plan = plan_cycle_smdrr(ready)
-                quantum = plan.quantum
+                batch, quantum = plan_cycle_smdrr(ready)
                 quanta.append(quantum)
-                batch = plan.order
             else:
                 batch = ready.copy()
             ready.clear()

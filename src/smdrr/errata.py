@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .engine import Trace, simulate
 from .metrics import Convention, MetricsReport, compute_metrics
 from .policies import PolicyConfig
-from .report import ComparisonRow, build_comparison_rows
+from .report import COLUMNS, comparison_rows
 from .workload import paper_case
 
 CASE_IDS = (1, 2, 3, 4)
@@ -23,15 +23,15 @@ FIXED_RR_QUANTUM = 20
 
 # Values exactly as printed in the published tables (zero-referenced
 # turnaround convention, fixed RR quantum of 20 ms).
-PUBLISHED_TABLES: dict[tuple[int, str], ComparisonRow] = {
-    (1, "RR"): ComparisonRow("RR", "20", "144", "85.75", 12),
-    (1, "SMDRR"): ComparisonRow("SMDRR", "41,46,3", "124.5", "66", 6),
-    (2, "RR"): ComparisonRow("RR", "20", "140.4", "98", 11),
-    (2, "SMDRR"): ComparisonRow("SMDRR", "34,20,4,1", "128.6", "86.2", 10),
-    (3, "RR"): ComparisonRow("RR", "20", "88.75", "47.75", 9),
-    (3, "SMDRR"): ComparisonRow("SMDRR", "10,14,72,3", "73.75", "32.75", 4),
-    (4, "RR"): ComparisonRow("RR", "20", "125.6", "82.4", 11),
-    (4, "SMDRR"): ComparisonRow("SMDRR", "18,35,25,43", "108.6", "65.4", 7),
+PUBLISHED_TABLES: dict[tuple[int, str], tuple[str, str, str, str, int]] = {
+    (1, "RR"): ("RR", "20", "144", "85.75", 12),
+    (1, "SMDRR"): ("SMDRR", "41,46,3", "124.5", "66", 6),
+    (2, "RR"): ("RR", "20", "140.4", "98", 11),
+    (2, "SMDRR"): ("SMDRR", "34,20,4,1", "128.6", "86.2", 10),
+    (3, "RR"): ("RR", "20", "88.75", "47.75", 9),
+    (3, "SMDRR"): ("SMDRR", "10,14,72,3", "73.75", "32.75", 4),
+    (4, "RR"): ("RR", "20", "125.6", "82.4", 11),
+    (4, "SMDRR"): ("SMDRR", "18,35,25,43", "108.6", "65.4", 7),
 }
 
 
@@ -70,10 +70,9 @@ def compute_errata(
     """Field-by-field diff of the published tables against replay_cases()."""
     errata = []
     for case_id, runs in replayed.items():
-        for row in build_comparison_rows(runs):
-            published = PUBLISHED_TABLES[(case_id, row.algorithm)]
-            for field in ("tq", "tat", "wt", "cs"):
-                have, want = getattr(row, field), getattr(published, field)
+        for row in comparison_rows(runs):
+            published = PUBLISHED_TABLES[(case_id, row[0])]
+            for field, have, want in zip(COLUMNS[1:], row[1:], published[1:]):
                 if str(have) != str(want):
-                    errata.append(Erratum(case_id, row.algorithm, field, str(want), str(have)))
+                    errata.append(Erratum(case_id, row[0], field, str(want), str(have)))
     return errata

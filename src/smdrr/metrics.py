@@ -76,24 +76,6 @@ class MetricsReport:
         }
 
 
-def context_switches(trace: Trace) -> int:
-    """Dispatch boundaries in the trace: process segment count - 1."""
-    return _switches_and_idle_time(trace)[0]
-
-
-def _switches_and_idle_time(trace: Trace) -> tuple[int, int]:
-    """(context switches, idle time) from one scan of the segments."""
-    idle_segments = idle_time = 0
-    for s in trace.segments:
-        if s.occupant is None:
-            idle_segments += 1
-            idle_time += s.end - s.start
-    dispatches = len(trace.segments) - idle_segments
-    if dispatches == 0:
-        raise ValueError("trace has no process segments")
-    return dispatches - 1, idle_time
-
-
 def compute_metrics(trace: Trace, convention: Convention = Convention.STANDARD) -> MetricsReport:
     """Compute per-process and aggregate metrics for a trace."""
     per_process = []
@@ -109,16 +91,18 @@ def compute_metrics(trace: Trace, convention: Convention = Convention.STANDARD) 
         response_sum += response
     n = len(per_process)
     makespan = trace.makespan
-    switches, idle_time = _switches_and_idle_time(trace)
+    idle = [s.end - s.start for s in trace.segments if s.occupant is None]
+    if len(idle) == len(trace.segments):
+        raise ValueError("trace has no process segments")
     return MetricsReport(
         convention=convention,
         processes=tuple(per_process),
         att=Fraction(turnaround_sum, n),
         awt=Fraction(waiting_sum, n),
-        cs=switches,
+        cs=len(trace.segments) - len(idle) - 1,
         avg_response=Fraction(response_sum, n),
         makespan=makespan,
-        cpu_utilization=Fraction(makespan - idle_time, makespan),
+        cpu_utilization=Fraction(makespan - sum(idle), makespan),
         throughput=Fraction(n, makespan),
     )
 

@@ -14,8 +14,6 @@ from typing import Iterable, MutableSequence, Protocol, Sequence
 
 from .workload import _INT_RE
 
-KINDS = ("smdrr", "rr", "fcfs", "sjf")
-
 _LABELS = {"smdrr": "SMDRR", "rr": "RR", "fcfs": "FCFS", "sjf": "SJF"}
 
 
@@ -31,7 +29,7 @@ class PolicyConfig:
     quantum: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in _LABELS:
             raise PolicyError(f"unknown policy kind: {self.kind!r}")
         if self.kind == "rr":
             if not isinstance(self.quantum, int) or self.quantum < 1:
@@ -59,9 +57,13 @@ def parse_policy(text: str) -> PolicyConfig:
         raise PolicyError("rr requires a quantum, e.g. rr:20")
     if text.startswith("rr:"):
         raw = text[3:]
-        if not _INT_RE.fullmatch(raw) or int(raw) < 1:
+        try:
+            quantum = int(raw) if _INT_RE.fullmatch(raw) else 0
+        except ValueError:  # more digits than int() converts
+            raise PolicyError(f"rr quantum has too many digits ({len(raw)})") from None
+        if quantum < 1:
             raise PolicyError(f"rr quantum must be a positive integer, got {raw!r}")
-        return PolicyConfig("rr", int(raw))
+        return PolicyConfig("rr", quantum)
     raise PolicyError(f"unknown policy: {text!r}")
 
 
@@ -80,14 +82,6 @@ class ReadyRecord(Protocol):
 
     @property
     def submission_index(self) -> int: ...
-
-
-@dataclass(frozen=True)
-class CyclePlan:
-    """One SMDRR round: the ready records in dispatch order, plus the cycle's quantum."""
-
-    order: list[ReadyRecord]
-    quantum: int
 
 
 def harmonic_mean_quantum(remaining: Sequence[int]) -> int:
@@ -114,8 +108,8 @@ def harmonic_mean_quantum(remaining: Sequence[int]) -> int:
     return -(-len(remaining) * den // num)
 
 
-def plan_cycle_smdrr(ready: Iterable[ReadyRecord]) -> CyclePlan:
-    """Plan one SMDRR cycle over the ready set.
+def plan_cycle_smdrr(ready: Iterable[ReadyRecord]) -> tuple[list[ReadyRecord], int]:
+    """Plan one SMDRR cycle over the ready set: (dispatch order, quantum).
 
     Order: ascending remaining time, ties by arrival then submission
     index.  Quantum: harmonic-mean ceiling of the remaining times.  The
@@ -125,8 +119,7 @@ def plan_cycle_smdrr(ready: Iterable[ReadyRecord]) -> CyclePlan:
     entries = sorted(ready, key=lambda e: (e.remaining, e.arrival, e.submission_index))
     if not entries:
         raise ValueError("ready set is empty")
-    quantum = harmonic_mean_quantum([e.remaining for e in entries])
-    return CyclePlan(entries, quantum)
+    return entries, harmonic_mean_quantum([e.remaining for e in entries])
 
 
 def rr_requeue_position(

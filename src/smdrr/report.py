@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .engine import Trace
@@ -34,26 +33,21 @@ _IDLE_FILL = "#cccccc"
 
 
 def render_gantt_ascii(trace: Trace) -> str:
-    """One lane of labeled boxes with end-time ticks and a legend line."""
-    labels = [_IDLE_LABEL if s.is_idle else s.occupant for s in trace.segments]
-    boundaries = [trace.segments[0].start] + [s.end for s in trace.segments]
-    widths = []
-    for segment, label, left in zip(trace.segments, labels, boundaries):
-        proportional = math.ceil(segment.length / ASCII_MS_PER_CHAR)
-        widths.append(max(proportional, len(label), len(str(left))))
-    lane = "|" + "|".join(label.center(w) for label, w in zip(labels, widths)) + "|"
-    positions = [0]
-    for w in widths:
-        positions.append(positions[-1] + w + 1)
-    ticks = [" "] * (positions[-1] + len(str(boundaries[-1])) + 1)
-    for pos, value in zip(positions, boundaries):
-        text = str(value)
-        ticks[pos:pos + len(text)] = text
+    """One lane of labeled boxes, a tick line and a legend line.  Each box
+    is at least as wide as its start tick, which sits under its opening bar."""
+    boxes, ticks = [], []
+    for s in trace.segments:
+        label = _IDLE_LABEL if s.occupant is None else s.occupant
+        tick = str(s.start)
+        width = max(math.ceil(s.length / ASCII_MS_PER_CHAR), len(label), len(tick))
+        boxes.append(label.center(width))
+        ticks.append(tick.ljust(width + 1))
+    ticks.append(str(trace.makespan))
     legend = (
         f"legend: boxes are dispatches ({_IDLE_LABEL} = idle), ticks are ms; "
         f"scale 1 char : {ASCII_MS_PER_CHAR} ms, widened to fit labels"
     )
-    return "\n".join((lane, "".join(ticks).rstrip(), legend))
+    return "\n".join(("|" + "|".join(boxes) + "|", "".join(ticks), legend))
 
 
 def render_gantt_svg(trace: Trace) -> str:
@@ -98,37 +92,23 @@ def _table_lines(table: Sequence[Sequence[str]]) -> list[str]:
             for row in table]
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    algorithm: str
-    tq: str
-    tat: str
-    wt: str
-    cs: int
+# The comparison table's columns; comparison_rows gives one tuple of cells per run.
+COLUMNS = ("algorithm", "tq", "tat", "wt", "cs")
 
 
-def build_comparison_rows(
+def comparison_rows(
     runs: Sequence[tuple[PolicyConfig, Trace, MetricsReport]],
-) -> list[ComparisonRow]:
-    """One row per policy; all traces must cover the same workload."""
-    if not runs:
-        return []
+) -> list[tuple[str, str, str, str, int]]:
+    """One (label, tq, tat, wt, cs) row per policy; all traces must cover
+    the same workload."""
     names = {trace.workload_name for _, trace, _ in runs}
     if len(names) > 1:
         raise ValueError(f"mixed workloads in comparison: {sorted(names)}")
-    rows = []
-    for config, trace, report in runs:
-        tq = ",".join(str(q) for q in trace.quanta) if trace.quanta else "-"
-        rows.append(
-            ComparisonRow(
-                algorithm=config.label,
-                tq=tq,
-                tat=format_decimal(report.att),
-                wt=format_decimal(report.awt),
-                cs=report.cs,
-            )
-        )
-    return rows
+    return [
+        (config.label, ",".join(map(str, trace.quanta)) if trace.quanta else "-",
+         format_decimal(report.att), format_decimal(report.awt), report.cs)
+        for config, trace, report in runs
+    ]
 
 
 def comparison_report(
@@ -136,22 +116,15 @@ def comparison_report(
     format: str = "text",
 ) -> str:
     """Render the per-policy comparison table as text, csv or json."""
-    rows = build_comparison_rows(runs)
+    rows = comparison_rows(runs)
     if format == "csv":
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["algorithm", "tq", "tat", "wt", "cs"])
-        for r in rows:
-            writer.writerow([r.algorithm, r.tq, r.tat, r.wt, r.cs])
+        csv.writer(out, lineterminator="\n").writerows([COLUMNS, *rows])
         return out.getvalue()
     if format == "json":
-        doc = [
-            {"algorithm": r.algorithm, "tq": r.tq, "tat": r.tat, "wt": r.wt, "cs": r.cs}
-            for r in rows
-        ]
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps([dict(zip(COLUMNS, row)) for row in rows], indent=2) + "\n"
     if format == "text":
-        header = ("Algorithm", "TQ", "TAT", "WT", "CS")
-        table = [header] + [(r.algorithm, r.tq, r.tat, r.wt, str(r.cs)) for r in rows]
+        table = [("Algorithm", "TQ", "TAT", "WT", "CS")]
+        table += [tuple(map(str, row)) for row in rows]
         return "\n".join(_table_lines(table)) + "\n"
     raise ValueError(f"unknown report format: {format!r}")

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 
 _INT_RE = re.compile(r"-?[0-9]+", re.ASCII)
 # Pids are labels in CSV cells, SVG text and the ASCII lane, so they hold
-# no comma, markup character, bar or space.
-_PID_RE = re.compile(r"[A-Za-z0-9_.:-]+")
+# no comma, markup character, bar or space, and at least one letter or
+# digit, so that no pid reads like the idle label "--".  The leading run
+# holds no letter or digit, so a match never backtracks.
+_PID_RE = re.compile(r"[_.:-]*[A-Za-z0-9][A-Za-z0-9_.:-]*")
 _CSV_HEADER = "pid,arrival,burst"
 _MASK64 = (1 << 64) - 1
 # Generator size cap: a hostile --n fails at once instead of exhausting memory.
@@ -102,7 +104,10 @@ class GeneratorSpec:
 def _parse_int(text: str, where: str, field: str) -> int:
     if not _INT_RE.fullmatch(text):
         raise WorkloadError(f"{where}: {field} is not a base-10 integer: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise WorkloadError(f"{where}: {field} has too many digits ({len(text)})") from None
 
 
 def parse_workload(text: str, format: str = "csv", name: str = "workload") -> Workload:
@@ -145,7 +150,7 @@ def _parse_csv(text: str, name: str) -> Workload:
 def _parse_json(text: str) -> Workload:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer with too many digits
         raise WorkloadError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise WorkloadError("top level must be an object")

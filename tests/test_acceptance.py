@@ -18,7 +18,7 @@ from goldens import EXPECTED_ERRATA, SMDRR_QUANTA
 from smdrr.cli import main
 from smdrr.engine import simulate
 from smdrr.errata import compute_errata, replay_cases
-from smdrr.metrics import Convention, compute_metrics, context_switches
+from smdrr.metrics import Convention, compute_metrics
 from smdrr.policies import PolicyConfig, harmonic_mean_quantum
 from smdrr.workload import ProcessSpec, Workload, paper_case
 
@@ -160,9 +160,9 @@ def test_criterion_6_property_suite(fuzz_workloads):
             for trace in (smdrr_trace, rr_trace, fcfs_trace, sjf_trace):
                 assert_conserved_and_contiguous(w, trace)
                 dispatches = sum(1 for s in trace.segments if not s.is_idle)
-                assert context_switches(trace) == dispatches - 1
                 for convention in Convention:
                     report = compute_metrics(trace, convention)
+                    assert report.cs == dispatches - 1
                     assert report.awt == report.att - mean_burst
 
             # engine agrees with the independent followers on fuzzed input too
@@ -193,7 +193,7 @@ def test_criterion_6_property_suite(fuzz_workloads):
             )
             trace = simulate(equal, SMDRR)
             assert len(trace.segments) == n
-            assert context_switches(trace) == n - 1
+            assert compute_metrics(trace).cs == n - 1
 
             zero = Workload(
                 f"zero-{i}",

@@ -217,6 +217,10 @@ def test_generate_malformed_range(capsys):
     ("generate", "--n", "1_000", "--burst", "1..3"),
     ("generate", "--n", "2", "--burst", "1..3", "--seed", "1_000"),
     ("generate", "--n", "2", "--burst", "1..3", "--seed", "٣"),
+    # more digits than int() converts
+    ("run", "--case", "1", "--policy", "rr:" + "9" * 5000),
+    ("generate", "--n", "9" * 5000, "--burst", "1..3"),
+    ("generate", "--n", "2", "--burst", "1.." + "9" * 5000),
 ])
 def test_numbers_follow_the_ascii_integer_rule(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
@@ -235,6 +239,32 @@ def test_undecodable_workload_file_is_data_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(path) in err and "position 24" in err
+
+
+@pytest.mark.parametrize("name,text", [
+    ("huge.csv", "pid,arrival,burst\nP1,0," + "9" * 5000 + "\n"),
+    ("huge.json", '{"name": "w", "processes": [{"pid": "P1", "arrival": 0, "burst": '
+     + "9" * 5000 + "}]}"),
+    ("idle.csv", "pid,arrival,burst\n--,0,4\nB,10,4\n"),
+], ids=["huge-csv", "huge-json", "idle-pid"])
+def test_bad_workload_is_one_error_line(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    for fmt in ("text", "csv", "json"):
+        code, out, err = run_cli(capsys, "run", "--workload", str(path), "--policy", "fcfs",
+                                 "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_run_text_header_quotes_a_name_with_a_line_break(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"name": "a\nb|c", "processes": [
+        {"pid": "P1", "arrival": 0, "burst": 4}]}), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "run", "--workload", str(path), "--policy", "fcfs")
+    assert code == 0
+    assert out.splitlines()[0] == '== FCFS on "a\\nb|c" (convention: standard) =='
 
 
 def test_generated_source_feeds_run(capsys):

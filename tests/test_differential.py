@@ -8,6 +8,7 @@ only the common case.  Submission order is shuffled against arrival
 order, so ties on arrival fall back to submission index.
 """
 
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from smdrr.engine import simulate
+from test_acceptance import assert_conserved_and_contiguous
 from smdrr.policies import parse_policy
 from smdrr.workload import ProcessSpec, Workload
 
@@ -66,3 +68,33 @@ def test_engine_follows_oracle_at_size(spread, burst, seed):
 )
 def test_engine_follows_oracle_on_mixed_spreads(n, burst_hi, spread, seed):
     assert_engine_follows(random_triples(random.Random(seed), n, (1, burst_hi), spread))
+
+
+# Every workload of 1 to 3 processes with bursts 1..6 and arrivals 0..2,
+# 18 + 18**2 + 18**3 = 6174 of them: every tie in arrival, burst and
+# remaining time, every idle gap and every integer harmonic mean, such as
+# (2, 3, 6), that this small world holds.
+SMALL_BURSTS = range(1, 7)
+SMALL_ARRIVALS = range(3)
+SMALL_POLICIES = ("smdrr", "rr:1", "rr:3", "fcfs", "sjf")
+
+
+def test_engine_follows_oracle_on_every_small_workload():
+    cells = list(itertools.product(SMALL_ARRIVALS, SMALL_BURSTS))
+    policies = [(spelling, parse_policy(spelling)) for spelling in SMALL_POLICIES]
+    count = 0
+    for n in range(1, 4):
+        for rows in itertools.product(cells, repeat=n):
+            # pids count down, so a tie broken on pid instead of on
+            # submission index gives a different trace
+            triples = [(f"P{n - i}", a, b) for i, (a, b) in enumerate(rows)]
+            workload = Workload("small", tuple(ProcessSpec(*t) for t in triples))
+            for spelling, config in policies:
+                trace = simulate(workload, config)
+                segments, quanta = follow(spelling, triples)
+                assert [(s.occupant, s.start, s.end) for s in trace.segments] == segments, \
+                    (spelling, triples)
+                assert (None if trace.quanta is None else list(trace.quanta)) == quanta
+                assert_conserved_and_contiguous(workload, trace)
+            count += 1
+    assert count == 6174

@@ -27,7 +27,8 @@ texts = st.one_of(
 )
 # Pids come from the workload pid grammar; names stay arbitrary text, so
 # string quoting is still compared with json.dumps.
-pids = st.text(string.ascii_letters + string.digits + "_.:-", min_size=1, max_size=6)
+pids = st.text(string.ascii_letters + string.digits + "_.:-", min_size=1,
+               max_size=6).filter(lambda pid: pid.strip("_.:-"))
 
 
 @st.composite

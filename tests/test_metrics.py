@@ -3,11 +3,10 @@ from fractions import Fraction
 import pytest
 
 from goldens import COMPUTED_TABLES
-from smdrr.engine import simulate
+from smdrr.engine import Segment, Trace, simulate
 from smdrr.metrics import (
     Convention,
     compute_metrics,
-    context_switches,
     format_decimal,
 )
 from smdrr.policies import PolicyConfig
@@ -36,27 +35,33 @@ def test_case1_rr_exact_fractions():
 
 
 def test_context_switch_counting():
-    assert context_switches(simulate(paper_case(1), SMDRR)) == 6   # final P4->P4 counts
-    assert context_switches(simulate(paper_case(1), RR20)) == 12
-    assert context_switches(simulate(paper_case(4), RR20)) == 11   # ends P5,P5
+    assert compute_metrics(simulate(paper_case(1), SMDRR)).cs == 6   # final P4->P4 counts
+    assert compute_metrics(simulate(paper_case(1), RR20)).cs == 12
+    assert compute_metrics(simulate(paper_case(4), RR20)).cs == 11   # ends P5,P5
 
 
 def test_context_switches_single_segment_is_zero():
     w = Workload("solo", (ProcessSpec("P1", 0, 5),))
-    assert context_switches(simulate(w, SMDRR)) == 0
+    assert compute_metrics(simulate(w, SMDRR)).cs == 0
 
 
 def test_context_switches_idle_is_transparent():
     w = Workload("gap", (ProcessSpec("P1", 0, 2), ProcessSpec("P2", 10, 3)))
     trace = simulate(w, SMDRR)
     assert len(trace.segments) == 3  # P1, idle, P2
-    assert context_switches(trace) == 1
+    assert compute_metrics(trace).cs == 1
 
 
 def test_context_switches_invariant_under_pid_relabeling():
     a = Workload("a", (ProcessSpec("P1", 0, 9), ProcessSpec("P2", 1, 4)))
     b = Workload("b", (ProcessSpec("left", 0, 9), ProcessSpec("right", 1, 4)))
-    assert context_switches(simulate(a, RR20)) == context_switches(simulate(b, RR20))
+    assert compute_metrics(simulate(a, RR20)).cs == compute_metrics(simulate(b, RR20)).cs
+
+
+def test_metrics_reject_a_trace_without_process_segments():
+    trace = Trace("idle", "fcfs", (Segment(None, 0, 5),), ())
+    with pytest.raises(ValueError, match="trace has no process segments"):
+        compute_metrics(trace)
 
 
 def test_conventions_coincide_on_zero_arrivals():

@@ -80,27 +80,29 @@ def entries(*rows):
 
 def test_plan_cycle_case1_opening():
     ready = entries(("P1", 20, 0, 0), ("P2", 40, 0, 1), ("P3", 83, 0, 2), ("P4", 90, 0, 3))
-    plan = plan_cycle_smdrr(ready)
-    assert [e.pid for e in plan.order] == ["P1", "P2", "P3", "P4"]
-    assert plan.quantum == 41
+    order, quantum = plan_cycle_smdrr(ready)
+    assert [e.pid for e in order] == ["P1", "P2", "P3", "P4"]
+    assert quantum == 41
 
 
 def test_plan_cycle_case1_second_round():
-    plan = plan_cycle_smdrr(entries(("P3", 42, 0, 2), ("P4", 49, 0, 3)))
-    assert [e.pid for e in plan.order] == ["P3", "P4"]
-    assert plan.quantum == 46
+    order, quantum = plan_cycle_smdrr(entries(("P3", 42, 0, 2), ("P4", 49, 0, 3)))
+    assert [e.pid for e in order] == ["P3", "P4"]
+    assert quantum == 46
 
 
 def test_plan_cycle_case4_third_round():
-    plan = plan_cycle_smdrr(entries(("P3", 15, 6, 2), ("P4", 25, 11, 3), ("P5", 68, 21, 4)))
-    assert [e.pid for e in plan.order] == ["P3", "P4", "P5"]
-    assert plan.quantum == 25
+    order, quantum = plan_cycle_smdrr(
+        entries(("P3", 15, 6, 2), ("P4", 25, 11, 3), ("P5", 68, 21, 4)))
+    assert [e.pid for e in order] == ["P3", "P4", "P5"]
+    assert quantum == 25
 
 
 def test_plan_cycle_tie_breaks():
     # equal remaining: earlier arrival wins, then submission order
     ready = entries(("B", 10, 4, 1), ("A", 10, 2, 0), ("C", 10, 2, 2))
-    assert [e.pid for e in plan_cycle_smdrr(ready).order] == ["A", "C", "B"]
+    order, _ = plan_cycle_smdrr(ready)
+    assert [e.pid for e in order] == ["A", "C", "B"]
 
 
 def test_plan_cycle_is_deterministic():
@@ -156,7 +158,8 @@ def test_parse_policy(text, config):
 
 # rr:² made int() raise and rr:٣ read as rr:3 while quanta were checked by str.isdigit
 @pytest.mark.parametrize("text", ["rr", "rr:", "rr:0", "rr:-3", "rr:2.5", "mlfq", "RR:20", "",
-                                  "rr:²", "rr:٣", "rr:２", "rr: 5", "rr:1_0"])
+                                  "rr:²", "rr:٣", "rr:２", "rr: 5", "rr:1_0",
+                                  pytest.param("rr:" + "9" * 5000, id="rr:5000-digits")])
 def test_parse_policy_rejects(text):
     with pytest.raises(PolicyError):
         parse_policy(text)

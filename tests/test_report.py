@@ -3,11 +3,12 @@ import io
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from goldens import COMPUTED_TABLES
 from smdrr.engine import simulate
 from smdrr.metrics import Convention, compute_metrics
-from smdrr.policies import PolicyConfig
+from smdrr.policies import PolicyConfig, parse_policy
 from smdrr.report import (
     SVG_UNITS_PER_MS,
     comparison_report,
@@ -57,6 +58,23 @@ def test_ascii_gantt_idle_box():
 def test_ascii_gantt_ends_with_legend():
     chart = render_gantt_ascii(simulate(paper_case(2), RR20))
     assert chart.splitlines()[-1].startswith("legend:")
+
+
+@given(st.lists(st.tuples(st.integers(0, 400), st.integers(1, 120), st.integers(0, 12)),
+                min_size=1, max_size=8),
+       st.sampled_from(["smdrr", "rr:3", "fcfs", "sjf"]))
+def test_ascii_ticks_start_under_the_bar_that_opens_their_box(rows, spelling):
+    # long pids and arrivals widen boxes past their proportional width
+    w = Workload("w", tuple(ProcessSpec(f"P{i}" + "x" * pad, arrival, burst)
+                            for i, (arrival, burst, pad) in enumerate(rows)))
+    trace = simulate(w, parse_policy(spelling))
+    lane, ticks, _ = render_gantt_ascii(trace).splitlines()
+    bars = [column for column, char in enumerate(lane) if char == "|"]
+    values = [str(s.start) for s in trace.segments] + [str(trace.makespan)]
+    assert len(bars) == len(values)
+    for column, value in zip(bars, values):
+        assert ticks[column:column + len(value)] == value
+    assert ticks.split() == values
 
 
 def test_svg_one_rect_per_segment():

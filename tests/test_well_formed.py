@@ -24,7 +24,8 @@ from test_output_digests import FILE_CSV, commands
 
 SVG = "{http://www.w3.org/2000/svg}"
 POLICIES = ("smdrr", "rr:3", "fcfs", "sjf")
-pids = st.text(string.ascii_letters + string.digits + "_.:-", min_size=1, max_size=5)
+pids = st.text(string.ascii_letters + string.digits + "_.:-", min_size=1,
+               max_size=5).filter(lambda pid: pid.strip("_.:-"))
 
 
 @st.composite

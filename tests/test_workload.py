@@ -47,6 +47,13 @@ def test_parse_csv_case1():
         ("\n \n", "empty workload file"),
         ("pid,arrival,burst\nP1,0,5\na|b,0,5\n", r"line 3: pid 'a\|b' does not match"),
         ("pid,arrival,burst\n\n \n", "no processes"),
+        # more digits than int() converts
+        pytest.param("pid,arrival,burst\nP1,0," + "9" * 5000 + "\n",
+                     r"^line 2: burst has too many digits", id="burst-of-5000-digits"),
+        # a pid needs a letter or a digit, so none reads like the idle label
+        ("pid,arrival,burst\n--,0,4\nB,10,4\n", r"^line 2: pid '--' does not match"),
+        ("pid,arrival,burst\n-,0,4\n", r"^line 2: pid '-' does not match"),
+        ("pid,arrival,burst\n.,0,4\n", r"^line 2: pid '\.' does not match"),
     ],
 )
 def test_parse_csv_errors(text, fragment):
@@ -82,6 +89,10 @@ def test_parse_json_case():
          ' {"pid": "P1", "arrival": 0, "burst": 2}]}', r"^processes\[1\]: duplicate pid P1$"),
         ('{"name": "w", "processes": [{"pid": "<b>&", "arrival": 0, "burst": 1}]}',
          r"^processes\[0\]: pid '<b>&' does not match"),
+        pytest.param('{"name": "w", "processes": [{"pid": "P1", "arrival": 0, "burst": '
+                     + "9" * 5000 + "}]}", "^invalid JSON: ", id="burst-of-5000-digits"),
+        ('{"name": "w", "processes": [{"pid": "--", "arrival": 0, "burst": 1}]}',
+         r"^processes\[0\]: pid '--' does not match"),
     ],
 )
 def test_parse_json_errors(text, fragment):
@@ -123,11 +134,13 @@ def test_process_spec_validation():
         ProcessSpec("P1", -3, 1)
 
 
-# The pid grammar, stated here independently of smdrr.workload.
-PID = re.compile(r"[A-Za-z0-9_.:-]+")
+# The pid grammar, stated here independently of smdrr.workload: at least
+# one ASCII letter or digit, so that no pid reads like the idle label "--".
+PID = re.compile(r"[A-Za-z0-9_.:-]*[A-Za-z0-9][A-Za-z0-9_.:-]*")
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 candidate_pids = st.one_of(
-    st.sampled_from(["a,b", " P1 ", "<b>&", "a|b", "", "P1", "é", "P١", "\tP2", "a b"]),
+    st.sampled_from(["a,b", " P1 ", "<b>&", "a|b", "", "P1", "é", "P١", "\tP2", "a b",
+                     "--", "-", ".", "_:", "-P-"]),
     st.text(max_size=6),
     st.text(string.ascii_letters + string.digits + "_.:-", min_size=1, max_size=6),
 )
@@ -154,7 +167,8 @@ def test_json_accepts_a_pid_exactly_when_it_matches_the_grammar(pid):
             parse_workload(text, "json")
 
 
-pid_strategy = st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=8)
+pid_strategy = st.text(string.ascii_letters + string.digits + "_", min_size=1,
+                       max_size=8).filter(lambda pid: pid.strip("_"))
 
 
 @st.composite
