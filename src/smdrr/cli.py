@@ -12,12 +12,13 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .engine import Trace, simulate
-from .errata import CASE_IDS, compute_errata, replay_cases
+from .errata import compute_errata, replay_cases
 from .metrics import Convention, MetricsReport, compute_metrics, format_decimal
 from .policies import PolicyConfig, PolicyError, parse_policy
 from .report import _table_lines, comparison_report, render_gantt_ascii, render_gantt_svg
 from .workload import (
     _INT_RE,
+    CASE_IDS,
     GeneratorSpec,
     Workload,
     WorkloadError,
@@ -250,7 +251,7 @@ def _run_json(runs: list[tuple[PolicyConfig, Trace, MetricsReport]],
         yield from _metrics_json(report)
         gantt = _render_gantt(trace, gantt_kind)
         if gantt is not None:
-            yield ',\n    "gantt": ' + json_quote(gantt)
+            yield from (',\n    "gantt": ', json_quote(gantt))
         yield "\n  }"
     yield "\n]\n"
 

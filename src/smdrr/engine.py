@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 # Not called here: smdrr.engine.rr_requeue_position is a perfbench LAYERS target.
 from .policies import PolicyConfig, plan_cycle_smdrr, rr_requeue_position  # noqa: F401
-from .workload import Workload
+from .workload import MAX_SEGMENTS, Workload, WorkloadError
 
 class Segment(NamedTuple):
     """One contiguous occupancy of the CPU; occupant None means idle."""
@@ -21,14 +21,6 @@ class Segment(NamedTuple):
     occupant: str | None
     start: int
     end: int
-
-    @property
-    def is_idle(self) -> bool:
-        return self.occupant is None
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
 
 
 class ProcessOutcome(NamedTuple):
@@ -62,7 +54,7 @@ class Trace:
     def to_dict(self) -> dict:
         segments = []
         for s in self.segments:
-            if s.is_idle:
+            if s.occupant is None:
                 segments.append({"idle": True, "start": s.start, "end": s.end})
             else:
                 segments.append({"pid": s.occupant, "start": s.start, "end": s.end})
@@ -125,6 +117,8 @@ def simulate(workload: Workload, policy: PolicyConfig) -> Trace:
       SMDRR only between cycles, so a process turning up mid-cycle waits
       for the round to finish before it can be planned.  FCFS and SJF
       never preempt, so they too admit arrivals between rounds.
+
+    RR raises WorkloadError up front past MAX_SEGMENTS process segments.
     """
     procs = [
         _Proc(p.pid, p.arrival, p.burst, i)
@@ -135,6 +129,9 @@ def simulate(workload: Workload, policy: PolicyConfig) -> Trace:
     kind = policy.kind
     smdrr, sjf, rr = kind == "smdrr", kind == "sjf", kind == "rr"
     quantum = policy.quantum or max(p.burst for p in procs)
+    if rr and (count := sum(-(-p.burst // quantum) for p in procs)) > MAX_SEGMENTS:
+        raise WorkloadError(f"{policy.spelling()} would dispatch {count} segments, "
+                            f"more than the cap of {MAX_SEGMENTS}")
     quanta: list[int] | None = [] if smdrr else [quantum] if rr else None
     # SMDRR's ready list stays in the previous plan's order: every survivor
     # lost exactly one quantum, so the planner's sort only has to merge the

@@ -16,9 +16,8 @@ from .engine import Trace, simulate
 from .metrics import Convention, MetricsReport, compute_metrics
 from .policies import PolicyConfig
 from .report import COLUMNS, comparison_rows
-from .workload import paper_case
+from .workload import CASE_IDS, paper_case
 
-CASE_IDS = (1, 2, 3, 4)
 FIXED_RR_QUANTUM = 20
 
 # Values exactly as printed in the published tables (zero-referenced

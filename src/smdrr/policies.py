@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, MutableSequence, Protocol, Sequence
+from typing import Iterable, MutableSequence, Sequence
 
-from .workload import _INT_RE
+from .workload import WorkloadError, _parse_int
 
 _LABELS = {"smdrr": "SMDRR", "rr": "RR", "fcfs": "FCFS", "sjf": "SJF"}
 
@@ -33,7 +33,7 @@ class PolicyConfig:
             raise PolicyError(f"unknown policy kind: {self.kind!r}")
         if self.kind == "rr":
             if not isinstance(self.quantum, int) or self.quantum < 1:
-                raise PolicyError("rr requires a positive integer quantum")
+                raise PolicyError("rr requires a positive integer quantum, e.g. rr:20")
         elif self.quantum is not None:
             raise PolicyError(f"{self.kind} does not take a quantum")
 
@@ -50,38 +50,16 @@ class PolicyConfig:
 
 
 def parse_policy(text: str) -> PolicyConfig:
-    """Parse a policy spelling: smdrr | rr:<quantum> | fcfs | sjf."""
-    if text in ("smdrr", "fcfs", "sjf"):
-        return PolicyConfig(text)
-    if text == "rr":
-        raise PolicyError("rr requires a quantum, e.g. rr:20")
-    if text.startswith("rr:"):
-        raw = text[3:]
-        try:
-            quantum = int(raw) if _INT_RE.fullmatch(raw) else 0
-        except ValueError:  # more digits than int() converts
-            raise PolicyError(f"rr quantum has too many digits ({len(raw)})") from None
-        if quantum < 1:
-            raise PolicyError(f"rr quantum must be a positive integer, got {raw!r}")
-        return PolicyConfig("rr", quantum)
-    raise PolicyError(f"unknown policy: {text!r}")
-
-
-class ReadyRecord(Protocol):
-    """What the policy functions read from a ready process, such as the
-    engine's own per-process record."""
-
-    @property
-    def pid(self) -> str: ...
-
-    @property
-    def remaining(self) -> int: ...
-
-    @property
-    def arrival(self) -> int: ...
-
-    @property
-    def submission_index(self) -> int: ...
+    """Parse smdrr | rr:<quantum> | fcfs | sjf.  Only rr's quantum is read
+    here: PolicyConfig judges the rest, and gets any other quantum as written."""
+    kind, sep, raw = text.partition(":")
+    if not sep or kind != "rr":
+        return PolicyConfig(kind, raw if sep else None)
+    try:
+        quantum = _parse_int(raw, kind, "quantum")
+    except WorkloadError as exc:
+        raise PolicyError(str(exc)) from None
+    return PolicyConfig(kind, quantum)
 
 
 def harmonic_mean_quantum(remaining: Sequence[int]) -> int:
@@ -108,29 +86,28 @@ def harmonic_mean_quantum(remaining: Sequence[int]) -> int:
     return -(-len(remaining) * den // num)
 
 
-def plan_cycle_smdrr(ready: Iterable[ReadyRecord]) -> tuple[list[ReadyRecord], int]:
+def plan_cycle_smdrr(ready: Iterable) -> tuple[list, int]:
     """Plan one SMDRR cycle over the ready set: (dispatch order, quantum).
 
-    Order: ascending remaining time, ties by arrival then submission
-    index.  Quantum: harmonic-mean ceiling of the remaining times.  The
-    sort is stable and near linear when the input is already mostly in
-    order.
+    Ready records are any objects with the fields pid, remaining, arrival
+    and submission_index.  Order: ascending remaining time, ties by arrival
+    then submission index.  Quantum: harmonic-mean ceiling of the remaining
+    times (ValueError on an empty ready set).  The sort is stable and near
+    linear when the input is already mostly in order.
     """
     entries = sorted(ready, key=lambda e: (e.remaining, e.arrival, e.submission_index))
-    if not entries:
-        raise ValueError("ready set is empty")
     return entries, harmonic_mean_quantum([e.remaining for e in entries])
 
 
 def rr_requeue_position(
     queue: MutableSequence[str],
     preempted_pid: str,
-    arrivals_during_run: Iterable[ReadyRecord],
+    arrivals_during_run: Iterable,
 ) -> MutableSequence[str]:
     """Requeue after a quantum expiry, in place, and return the same queue.
 
-    Processes that arrived at or before the preemption instant join first
-    (arrival order, ties by submission index); the preempted process goes
+    Ready records that arrived at or before the preemption instant join
+    first (arrival order, ties by submission index); the preempted process goes
     to the tail.  queue is a list or a deque; the cost is O(arrivals),
     independent of the queue's length.
     """

@@ -39,7 +39,7 @@ def render_gantt_ascii(trace: Trace) -> str:
     for s in trace.segments:
         label = _IDLE_LABEL if s.occupant is None else s.occupant
         tick = str(s.start)
-        width = max(math.ceil(s.length / ASCII_MS_PER_CHAR), len(label), len(tick))
+        width = max(math.ceil((s.end - s.start) / ASCII_MS_PER_CHAR), len(label), len(tick))
         boxes.append(label.center(width))
         ticks.append(tick.ljust(width + 1))
     ticks.append(str(trace.makespan))
@@ -52,10 +52,7 @@ def render_gantt_ascii(trace: Trace) -> str:
 
 def render_gantt_svg(trace: Trace) -> str:
     """SVG chart: one rect per segment, x and width proportional to time."""
-    fills: dict[str, str] = {}
-    for s in trace.segments:
-        if not s.is_idle and s.occupant not in fills:
-            fills[s.occupant] = _PALETTE[len(fills) % len(_PALETTE)]
+    fills: dict[str, str] = {}  # palette colours in order of first dispatch
     width = 2 * SVG_MARGIN + SVG_UNITS_PER_MS * trace.makespan
     height = 2 * SVG_MARGIN + SVG_LANE_HEIGHT + 16
     parts = [
@@ -68,10 +65,11 @@ def render_gantt_svg(trace: Trace) -> str:
     rect_fill = f'" height="{SVG_LANE_HEIGHT}" fill="'
     label_y = f'" y="{SVG_MARGIN + SVG_LANE_HEIGHT // 2 + 4}" font-size="12" text-anchor="middle">'
     for s in trace.segments:
-        if s.occupant is None:
+        label = s.occupant
+        if label is None:
             fill, label = _IDLE_FILL, _IDLE_LABEL
         else:
-            fill, label = fills[s.occupant], s.occupant
+            fill = fills.setdefault(label, _PALETTE[len(fills) % len(_PALETTE)])
         # midpoint in svg units is 2*(start+end), always an integer
         parts.append(
             f'<rect x="{margin + scale * s.start}{rect_y}{scale * (s.end - s.start)}'
@@ -81,8 +79,8 @@ def render_gantt_svg(trace: Trace) -> str:
     tick_y = f'" y="{SVG_MARGIN + SVG_LANE_HEIGHT + 12}" font-size="10" text-anchor="middle">'
     boundaries = [trace.segments[0].start] + [s.end for s in trace.segments]
     parts += [f'<text x="{margin + scale * value}{tick_y}{value}</text>' for value in boundaries]
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)
 
 
 def _table_lines(table: Sequence[Sequence[str]]) -> list[str]:

@@ -20,10 +20,12 @@ _CSV_HEADER = "pid,arrival,burst"
 _MASK64 = (1 << 64) - 1
 # Generator size cap: a hostile --n fails at once instead of exhausting memory.
 MAX_PROCESSES = 1_000_000
+# RR segment cap, checked before simulating: 0.75 GB of trace at 150 B a segment.
+MAX_SEGMENTS = 5_000_000
 
 
 class WorkloadError(ValueError):
-    """Invalid workload data (bad field, duplicate pid, malformed input)."""
+    """Invalid workload data (bad field, duplicate pid, malformed input, segment cap)."""
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,7 @@ def _parse_csv(text: str, name: str) -> Workload:
 def _parse_json(text: str) -> Workload:
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer with too many digits
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
         raise WorkloadError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise WorkloadError("top level must be an object")
@@ -248,6 +250,7 @@ _BUILTIN_CASES = {
     3: (("P1", 0, 10), ("P2", 6, 14), ("P3", 12, 69), ("P4", 22, 75)),
     4: (("P1", 0, 18), ("P2", 3, 20), ("P3", 6, 50), ("P4", 11, 60), ("P5", 21, 68)),
 }
+CASE_IDS = tuple(_BUILTIN_CASES)
 
 
 def paper_case(case_id: int) -> Workload:

@@ -133,17 +133,16 @@ def fuzz_workloads():
 
 
 def assert_conserved_and_contiguous(workload, trace):
-    assert trace.segments[0].start == min(p.arrival for p in workload.processes)
-    for prev, cur in zip(trace.segments, trace.segments[1:]):
-        assert cur.start == prev.end
-    for spec in workload.processes:
-        ran = sum(s.length for s in trace.segments if s.occupant == spec.pid)
-        assert ran == spec.burst
+    arrival = {p.pid: p.arrival for p in workload.processes}
+    ran = dict.fromkeys(arrival, 0)
+    end = min(arrival.values())
     for s in trace.segments:
-        assert s.end > s.start
-        if not s.is_idle:
-            arrival = next(p.arrival for p in workload.processes if p.pid == s.occupant)
-            assert s.start >= arrival
+        assert s.start == end and s.end > s.start
+        end = s.end
+        if s.occupant is not None:
+            assert s.start >= arrival[s.occupant]
+            ran[s.occupant] += s.end - s.start
+    assert ran == {p.pid: p.burst for p in workload.processes}
 
 
 def test_criterion_6_property_suite(fuzz_workloads):
@@ -159,7 +158,7 @@ def test_criterion_6_property_suite(fuzz_workloads):
             sjf_trace = simulate(w, SJF)
             for trace in (smdrr_trace, rr_trace, fcfs_trace, sjf_trace):
                 assert_conserved_and_contiguous(w, trace)
-                dispatches = sum(1 for s in trace.segments if not s.is_idle)
+                dispatches = sum(1 for s in trace.segments if s.occupant is not None)
                 for convention in Convention:
                     report = compute_metrics(trace, convention)
                     assert report.cs == dispatches - 1
@@ -173,11 +172,11 @@ def test_criterion_6_property_suite(fuzz_workloads):
             assert segments_of(sjf_trace) == oracle.sjf_trace(triples)
             assert list(smdrr_trace.quanta) == [q for _, q in cycles]
             offset = 0
-            segments = [s for s in smdrr_trace.segments if not s.is_idle]
+            segments = [s for s in smdrr_trace.segments if s.occupant is not None]
             for remainings, quantum in cycles:
                 assert min(remainings) <= quantum <= max(remainings)
                 # shortest job goes first and finishes inside its own cycle
-                assert segments[offset].length == remainings[0]
+                assert segments[offset].end - segments[offset].start == remainings[0]
                 offset += len(remainings)
 
             # frozen dataclasses of ints/strs: equality is bit-identity

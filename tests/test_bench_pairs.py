@@ -2,7 +2,9 @@
 
 within_bound applies BENCHMARK.json's rule: the change's median may be
 worse than the parent's by at most the metric's relative bound, in the
-metric's own direction.  The tool file is loaded read-only.
+metric's own direction.  resolved is false when either side's relative
+quartile spread exceeds that bound, unless every change run beats every
+parent run.  The tool file is loaded read-only.
 """
 
 import importlib.util
@@ -32,3 +34,21 @@ PARENT = bench_pairs.summary([9.0, 10.0, 10.0, 11.0])
 def test_within_bound(change, better, within):
     result = bench_pairs.compare(PARENT, bench_pairs.summary(change), better, 0.25)
     assert result["within_bound"] is within
+
+
+@pytest.mark.parametrize(
+    "parent,change,better,resolved",
+    [
+        ([9.0, 10.0, 10.0, 11.0], [12.0, 12.4, 12.4, 13.0], "lower", True),  # both tight
+        ([5.0, 10.0, 10.0, 20.0], [9.0, 10.0, 10.0, 11.0], "lower", False),  # parent 37.5%
+        ([9.0, 10.0, 10.0, 11.0], [5.0, 10.0, 10.0, 20.0], "lower", False),  # change 37.5%
+        ([10.0, 15.0, 15.0, 30.0], [5.0, 6.0, 7.0, 9.0], "lower", True),     # change beats all
+        ([10.0, 15.0, 15.0, 30.0], [5.0, 6.0, 7.0, 10.0], "lower", False),   # a tie is no win
+        ([1.0, 2.0, 2.0, 4.0], [5.0, 6.0, 6.0, 7.0], "higher", True),        # change beats all
+        ([1.0, 2.0, 2.0, 4.0], [5.0, 6.0, 6.0, 7.0], "lower", False),        # change loses all
+    ],
+)
+def test_resolved(parent, change, better, resolved):
+    result = bench_pairs.compare(bench_pairs.summary(parent), bench_pairs.summary(change),
+                                 better, 0.25)
+    assert result["resolved"] is resolved

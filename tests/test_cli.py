@@ -8,7 +8,7 @@ import smdrr.cli
 import smdrr.errata
 from goldens import EXPECTED_ERRATA
 from smdrr.cli import main
-from smdrr.workload import MAX_PROCESSES, parse_workload
+from smdrr.workload import MAX_PROCESSES, MAX_SEGMENTS, parse_workload
 
 
 def run_cli(capsys, *argv):
@@ -246,7 +246,8 @@ def test_undecodable_workload_file_is_data_error(tmp_path, capsys):
     ("huge.json", '{"name": "w", "processes": [{"pid": "P1", "arrival": 0, "burst": '
      + "9" * 5000 + "}]}"),
     ("idle.csv", "pid,arrival,burst\n--,0,4\nB,10,4\n"),
-], ids=["huge-csv", "huge-json", "idle-pid"])
+    ("deep.json", "[" * 100_000),
+], ids=["huge-csv", "huge-json", "idle-pid", "deep-json"])
 def test_bad_workload_is_one_error_line(tmp_path, capsys, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -256,6 +257,15 @@ def test_bad_workload_is_one_error_line(tmp_path, capsys, name, text):
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_rr_beyond_the_segment_cap_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "run", "--n", "1", "--burst", "1000000000..1000000000",
+                             "--policy", "rr:1")
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: rr:1 would dispatch 1000000000 segments, "
+                   f"more than the cap of {MAX_SEGMENTS}\n")
 
 
 def test_run_text_header_quotes_a_name_with_a_line_break(tmp_path, capsys):

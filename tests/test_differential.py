@@ -19,6 +19,7 @@ from smdrr.engine import simulate
 from test_acceptance import assert_conserved_and_contiguous
 from smdrr.policies import parse_policy
 from smdrr.workload import ProcessSpec, Workload
+from test_metamorphic import assert_transformed, transform
 
 POLICIES = ("smdrr", "rr:20", "rr:3", "fcfs", "sjf")
 
@@ -73,28 +74,41 @@ def test_engine_follows_oracle_on_mixed_spreads(n, burst_hi, spread, seed):
 # Every workload of 1 to 3 processes with bursts 1..6 and arrivals 0..2,
 # 18 + 18**2 + 18**3 = 6174 of them: every tie in arrival, burst and
 # remaining time, every idle gap and every integer harmonic mean, such as
-# (2, 3, 6), that this small world holds.
+# (2, 3, 6), that this small world holds.  Each workload also runs shifted
+# by SMALL_SHIFT and relabelled at once, and must give its trace shifted
+# and relabelled: the two laws of test_metamorphic.py, composed.
 SMALL_BURSTS = range(1, 7)
 SMALL_ARRIVALS = range(3)
 SMALL_POLICIES = ("smdrr", "rr:1", "rr:3", "fcfs", "sjf")
+SMALL_SHIFT = 7
 
 
-def test_engine_follows_oracle_on_every_small_workload():
+def small_workloads():
+    """(triples, workload) for every workload of the small world, in a fixed order."""
     cells = list(itertools.product(SMALL_ARRIVALS, SMALL_BURSTS))
-    policies = [(spelling, parse_policy(spelling)) for spelling in SMALL_POLICIES]
-    count = 0
     for n in range(1, 4):
         for rows in itertools.product(cells, repeat=n):
             # pids count down, so a tie broken on pid instead of on
             # submission index gives a different trace
             triples = [(f"P{n - i}", a, b) for i, (a, b) in enumerate(rows)]
-            workload = Workload("small", tuple(ProcessSpec(*t) for t in triples))
-            for spelling, config in policies:
-                trace = simulate(workload, config)
-                segments, quanta = follow(spelling, triples)
-                assert [(s.occupant, s.start, s.end) for s in trace.segments] == segments, \
-                    (spelling, triples)
-                assert (None if trace.quanta is None else list(trace.quanta)) == quanta
-                assert_conserved_and_contiguous(workload, trace)
-            count += 1
+            yield triples, Workload("small", tuple(ProcessSpec(*t) for t in triples))
+
+
+def test_engine_follows_oracle_on_every_small_workload():
+    policies = [(spelling, parse_policy(spelling)) for spelling in SMALL_POLICIES]
+    count = 0
+    for triples, workload in small_workloads():
+        # the pids count down in submission order, so naming them Q0, Q1, ...
+        # in that order reverses their sort order
+        rename = {p.pid: f"Q{i}" for i, p in enumerate(workload.processes)}
+        moved = transform(workload, SMALL_SHIFT, rename)
+        for spelling, config in policies:
+            trace = simulate(workload, config)
+            segments, quanta = follow(spelling, triples)
+            assert [(s.occupant, s.start, s.end) for s in trace.segments] == segments, \
+                (spelling, triples)
+            assert (None if trace.quanta is None else list(trace.quanta)) == quanta
+            assert_conserved_and_contiguous(workload, trace)
+            assert_transformed(trace, simulate(moved, config), SMALL_SHIFT, rename)
+        count += 1
     assert count == 6174

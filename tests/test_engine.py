@@ -1,5 +1,7 @@
 import pytest
 
+import smdrr.engine
+
 from goldens import RR_SEGMENTS, SMDRR_QUANTA, SMDRR_SEGMENTS
 from smdrr.engine import (
     ProcessOutcome,
@@ -9,7 +11,7 @@ from smdrr.engine import (
 )
 from smdrr.metrics import ProcessMetrics
 from smdrr.policies import PolicyConfig
-from smdrr.workload import ProcessSpec, Workload, paper_case
+from smdrr.workload import MAX_SEGMENTS, ProcessSpec, Workload, WorkloadError, paper_case
 
 RR20 = PolicyConfig("rr", 20)
 SMDRR = PolicyConfig("smdrr")
@@ -66,7 +68,7 @@ def test_idle_gap_is_recorded(policy):
     w = Workload("gap", (ProcessSpec("P1", 0, 2), ProcessSpec("P2", 10, 3)))
     trace = simulate(w, policy)
     assert segment_triples(trace) == [("P1", 0, 2), (None, 2, 10), ("P2", 10, 13)]
-    assert sum(s.length for s in trace.segments if s.is_idle) == 8
+    assert sum(s.end - s.start for s in trace.segments if s.occupant is None) == 8
 
 
 def test_trace_starts_at_first_arrival():
@@ -140,14 +142,6 @@ def test_outcomes_preserve_submission_order():
     assert [p.pid for p in trace.processes] == ["P1", "P2", "P3", "P4"]
 
 
-def test_segment_helpers():
-    seg = Segment("P1", 3, 9)
-    assert seg.length == 6 and not seg.is_idle
-    assert Segment(None, 0, 4).is_idle
-    assert Segment(None, 0, 4).length == 4
-    assert seg == ("P1", 3, 9)
-
-
 @pytest.mark.parametrize("record", [
     Segment("P1", 3, 9),
     ProcessOutcome("P1", 0, 5, 2, 9),
@@ -156,6 +150,7 @@ def test_segment_helpers():
 def test_records_are_immutable_values(record):
     twin = type(record)(*record)
     assert twin == record and hash(twin) == hash(record)
+    assert record == tuple(record)
     assert type(record)(*record[:-1], record[-1] + 1) != record
     for field in record._fields:
         with pytest.raises(AttributeError):
@@ -166,3 +161,22 @@ def test_rr_policy_spelling_recorded_on_trace():
     trace = simulate(paper_case(1), RR20)
     assert trace.policy == "rr:20"
     assert isinstance(trace, Trace)
+
+
+def test_rr_refuses_more_segments_than_the_cap_before_simulating():
+    w = Workload("huge", (ProcessSpec("P1", 0, 10**9),))
+    with pytest.raises(WorkloadError, match=f"^rr:1 would dispatch 1000000000 segments, "
+                                            f"more than the cap of {MAX_SEGMENTS}$"):
+        simulate(w, PolicyConfig("rr", 1))
+    # the cap counts RR's slices, not the burst: one FCFS segment runs
+    assert segment_triples(simulate(w, PolicyConfig("fcfs"))) == [("P1", 0, 10**9)]
+
+
+def test_rr_segment_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(smdrr.engine, "MAX_SEGMENTS", 4)
+    # ceil(5/2) + ceil(2/2) = 4 process segments, plus an idle gap the cap ignores
+    w = Workload("w", (ProcessSpec("P1", 0, 5), ProcessSpec("P2", 9, 2)))
+    assert len(simulate(w, PolicyConfig("rr", 2)).segments) == 5
+    wider = Workload("w", (ProcessSpec("P1", 0, 5), ProcessSpec("P2", 9, 3)))
+    with pytest.raises(WorkloadError, match="would dispatch 5 segments, more than the cap of 4"):
+        simulate(wider, PolicyConfig("rr", 2))

@@ -4,6 +4,9 @@ Each law runs on seeded random workloads of at most ten processes, with
 bursts and arrivals drawn from small ranges so that ties in arrival,
 burst and remaining time are common.
 
+The shift and relabel laws also run, composed, over the small world that
+tests/test_differential.py enumerates against the oracle.
+
 - Shifting every arrival by the same delta shifts every segment by it,
   and leaves the quanta and the STANDARD metrics unchanged: the clock
   starts at the first arrival and nothing depends on absolute time.
@@ -47,17 +50,35 @@ def standard_metrics(trace):
     return m.processes, m.att, m.awt, m.cs, m.avg_response
 
 
+def transform(workload, delta, rename):
+    """workload with every arrival shifted by delta and every pid renamed."""
+    return Workload(workload.name, tuple(
+        ProcessSpec(rename[p.pid], p.arrival + delta, p.burst) for p in workload.processes
+    ))
+
+
+def assert_transformed(base, other, delta, rename):
+    """other, the trace of transform(workload, delta, rename), is base with
+    every time shifted by delta and every pid renamed."""
+    assert triples(other) == [
+        (None if o is None else rename[o], s + delta, e + delta) for o, s, e in triples(base)
+    ]
+    assert other.quanta == base.quanta
+    assert list(other.processes) == [
+        (rename[pid], arrival + delta, burst, first_start + delta, completion + delta)
+        for pid, arrival, burst, first_start, completion in base.processes
+    ]
+
+
 @pytest.mark.parametrize("spelling", POLICIES)
 def test_shifting_arrivals_shifts_the_trace(spelling):
     policy = parse_policy(spelling)
     for workload, rng in random_workloads(f"shift-{spelling}"):
         delta = rng.randint(1, 500)
-        shifted = Workload(workload.name, tuple(
-            ProcessSpec(p.pid, p.arrival + delta, p.burst) for p in workload.processes
-        ))
-        base, moved = simulate(workload, policy), simulate(shifted, policy)
-        assert triples(moved) == [(o, s + delta, e + delta) for o, s, e in triples(base)]
-        assert moved.quanta == base.quanta
+        same = {p.pid: p.pid for p in workload.processes}
+        base = simulate(workload, policy)
+        moved = simulate(transform(workload, delta, same), policy)
+        assert_transformed(base, moved, delta, same)
         assert standard_metrics(moved) == standard_metrics(base)
 
 
@@ -68,15 +89,8 @@ def test_relabelling_pids_relabels_the_trace(spelling):
         # new names in a random order, so a pid-based tie-break would show
         names = [f"Q{k}" for k in rng.sample(range(100), len(workload))]
         rename = {p.pid: name for p, name in zip(workload.processes, names)}
-        relabelled = Workload(workload.name, tuple(
-            ProcessSpec(rename[p.pid], p.arrival, p.burst) for p in workload.processes
-        ))
-        base, renamed = simulate(workload, policy), simulate(relabelled, policy)
-        assert triples(renamed) == [
-            (None if o is None else rename[o], s, e) for o, s, e in triples(base)
-        ]
-        assert renamed.quanta == base.quanta
-        assert [p._replace(pid=rename[p.pid]) for p in base.processes] == list(renamed.processes)
+        base = simulate(workload, policy)
+        assert_transformed(base, simulate(transform(workload, 0, rename), policy), 0, rename)
 
 
 def test_sjf_minimises_turnaround_when_all_arrive_at_zero():

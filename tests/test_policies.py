@@ -1,10 +1,12 @@
 import math
+import re
 from collections import deque, namedtuple
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from smdrr.cli import main
 from smdrr.policies import (
     PolicyConfig,
     PolicyError,
@@ -70,7 +72,7 @@ def test_harmonic_mean_quantum_matches_fraction_with_duplicates(values):
     assert harmonic_mean_quantum(values) == exact_quantum(values)
 
 
-# any record with these four fields satisfies policies.ReadyRecord
+# the four fields plan_cycle_smdrr reads from a ready record
 Ready = namedtuple("Ready", "pid remaining arrival submission_index")
 
 
@@ -159,9 +161,29 @@ def test_parse_policy(text, config):
 # rr:² made int() raise and rr:٣ read as rr:3 while quanta were checked by str.isdigit
 @pytest.mark.parametrize("text", ["rr", "rr:", "rr:0", "rr:-3", "rr:2.5", "mlfq", "RR:20", "",
                                   "rr:²", "rr:٣", "rr:２", "rr: 5", "rr:1_0",
-                                  pytest.param("rr:" + "9" * 5000, id="rr:5000-digits")])
-def test_parse_policy_rejects(text):
+                                  pytest.param("rr:" + "9" * 5000, id="rr:5000-digits"),
+                                  "smdrr:", "fcfs:3", "mlfq:3", ":3"])
+def test_parse_policy_rejects(text, capsys):
     with pytest.raises(PolicyError):
+        parse_policy(text)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--case", "1", "--policy", text])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text,message", [
+    ("rr", "rr requires a positive integer quantum, e.g. rr:20"),
+    ("rr:0", "rr requires a positive integer quantum, e.g. rr:20"),
+    ("rr:x", "rr: quantum is not a base-10 integer: 'x'"),
+    ("rr:" + "9" * 5000, "rr: quantum has too many digits (5000)"),
+    ("smdrr:", "smdrr does not take a quantum"),
+    ("sjf:5", "sjf does not take a quantum"),
+    ("mlfq:3", "unknown policy kind: 'mlfq'"),
+])
+def test_parse_policy_names_the_fault(text, message):
+    with pytest.raises(PolicyError, match=f"^{re.escape(message)}$"):
         parse_policy(text)
 
 

@@ -93,6 +93,8 @@ def test_parse_json_case():
                      + "9" * 5000 + "}]}", "^invalid JSON: ", id="burst-of-5000-digits"),
         ('{"name": "w", "processes": [{"pid": "--", "arrival": 0, "burst": 1}]}',
          r"^processes\[0\]: pid '--' does not match"),
+        # nesting deeper than the decoder's recursion limit
+        pytest.param("[" * 100_000, "^invalid JSON: maximum recursion depth", id="deep-nesting"),
     ],
 )
 def test_parse_json_errors(text, fragment):

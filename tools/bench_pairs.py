@@ -12,7 +12,9 @@ spread and values, and each per-layer metric's median; then the change's
 median over the parent's median, the pairs the change won and whether
 the medians differ by more than the parent's quartile distance, per
 end-to-end metric, with whether that median stays within the metric's
-BENCHMARK.json bound; and ``tools/scale_sweep.py --json`` for both
+BENCHMARK.json bound and whether the runs resolve it (neither side's
+relative quartile spread exceeds the bound, or every change run beats
+every parent run); and ``tools/scale_sweep.py --json`` for both
 checkouts, run in SWEEP_ROUNDS rounds that alternate which checkout
 goes first, keeping each cell's fastest run.  Every run must
 report ``correct: true``, or the script stops.
@@ -54,14 +56,20 @@ def summary(values: list[float]) -> dict:
 def compare(parent: dict, change: dict, better: str, bound: float) -> dict:
     """Change against parent for one metric: median ratio, pairs won,
     whether the medians differ by more than the parent's quartile distance,
-    and whether the change's median is worse than the parent's by no more
-    than the metric's BENCHMARK.json bound (a report, not a gate)."""
+    whether the change's median is worse than the parent's by no more than
+    the metric's BENCHMARK.json bound, and whether the runs resolve that
+    verdict: a side whose relative quartile spread exceeds the bound leaves
+    it unresolved, unless every change run beats every parent run.  A
+    report, not a gate."""
     sign = 1 if better == "lower" else -1
     pairs = list(zip(parent["values"], change["values"]))
     ratio = change["median"] / parent["median"]
+    worst_change = max(sign * v for v in change["values"])
     return {
         "median_ratio": ratio,
         "within_bound": ratio <= 1 + bound if better == "lower" else ratio >= 1 - bound,
+        "resolved": max(parent["spread"], change["spread"]) <= bound
+        or worst_change < min(sign * v for v in parent["values"]),
         "change_wins": sum(1 for p, c in pairs if sign * (p - c) > 0),
         "pairs": len(pairs),
         "beyond_parent_iqr": sign * (parent["median"] - change["median"])
