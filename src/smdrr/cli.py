@@ -17,7 +17,7 @@ from .metrics import Convention, MetricsReport, compute_metrics, format_decimal
 from .policies import PolicyConfig, PolicyError, parse_policy
 from .report import _table_lines, comparison_report, render_gantt_ascii, render_gantt_svg
 from .workload import (
-    _INT_RE,
+    _parse_int,
     CASE_IDS,
     GeneratorSpec,
     Workload,
@@ -30,65 +30,61 @@ from .workload import (
 
 
 def _int(text: str) -> int:
-    """An integer argument, read by the workload files' base-10 ASCII rule."""
-    if not _INT_RE.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"expected a base-10 integer, got {text!r}")
-    return int(text)
+    """An integer argument, read by the workload files' integer rule."""
+    try:
+        return _parse_int(text, "value")
+    except WorkloadError as exc:  # argparse prefixes "argument --n: "
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    if not (sep and _INT_RE.fullmatch(lo) and _INT_RE.fullmatch(hi)):
+    if not sep:
         raise argparse.ArgumentTypeError(f"expected a..b, got {text!r}")
-    return int(lo), int(hi)
-
-
-def _add_source_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workload", metavar="PATH", help="workload file (.json, else CSV)")
-    parser.add_argument("--case", type=_int, choices=CASE_IDS, help="built-in case 1-4")
-    _add_generator_options(parser)
-
-
-def _add_generator_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=_int, help="generate: process count")
-    parser.add_argument("--burst", type=_range, metavar="A..B", help="generate: burst range (ms)")
-    parser.add_argument("--arrival", type=_range, metavar="A..B", default=(0, 0),
-                        help="generate: arrival range (ms), default 0..0")
-    parser.add_argument("--seed", type=_int, default=0, help="generate: 64-bit seed")
-
-
-def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--policy", action="append", default=[], metavar="SPEC",
-                        help="smdrr | rr:<quantum> | fcfs | sjf (repeatable)")
-    parser.add_argument("--convention", choices=["standard", "paper"], default="standard",
-                        help="turnaround measured from arrival (standard) or from t=0 (paper)")
-    parser.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+    return _int(lo), _int(hi)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The smdrr parser.  Each subcommand's defaults name its command
+    function and its own parser, whose usage line its errors print."""
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--workload", metavar="PATH", help="workload file (.json, else CSV)")
+    source.add_argument("--case", type=_int, choices=CASE_IDS, help="built-in case 1-4")
+    generator = argparse.ArgumentParser(add_help=False)
+    generator.add_argument("--n", type=_int, help="generate: process count")
+    generator.add_argument("--burst", type=_range, metavar="A..B",
+                           help="generate: burst range (ms)")
+    generator.add_argument("--arrival", type=_range, metavar="A..B", default=(0, 0),
+                           help="generate: arrival range (ms), default 0..0")
+    generator.add_argument("--seed", type=_int, default=0, help="generate: 64-bit seed")
+    runs = argparse.ArgumentParser(add_help=False)
+    runs.add_argument("--policy", action="append", default=[], metavar="SPEC",
+                      help="smdrr | rr:<quantum> | fcfs | sjf (repeatable)")
+    runs.add_argument("--convention", choices=["standard", "paper"], default="standard",
+                      help="turnaround measured from arrival (standard) or from t=0 (paper)")
+    runs.add_argument("--format", choices=["text", "csv", "json"], default="text")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+
     parser = argparse.ArgumentParser(
         prog="smdrr",
         description="CPU-scheduling simulator: dynamic harmonic-mean round robin and baselines",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="simulate policies and report traces/metrics")
-    _add_source_options(run)
-    _add_run_options(run)
+    sub = parser.add_subparsers(required=True)
+    run = sub.add_parser("run", parents=[source, generator, runs, out],
+                         help="simulate policies and report traces/metrics")
     run.add_argument("--gantt", choices=["ascii", "svg"], help="include a Gantt chart")
-
-    compare = sub.add_parser("compare", help="side-by-side table for two or more policies")
-    _add_source_options(compare)
-    _add_run_options(compare)
-
-    generate = sub.add_parser("generate", help="write a seeded random workload")
-    _add_generator_options(generate)
+    run.set_defaults(command=cmd_run, parser=run)
+    compare = sub.add_parser("compare", parents=[source, generator, runs, out],
+                             help="side-by-side table for two or more policies")
+    compare.set_defaults(command=cmd_compare, parser=compare)
+    generate = sub.add_parser("generate", parents=[generator, out],
+                              help="write a seeded random workload")
     generate.add_argument("--format", choices=["csv", "json"], default="csv")
-    generate.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-
-    cases = sub.add_parser("paper-cases", help="replay the four built-in cases plus errata")
-    cases.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+    generate.set_defaults(command=cmd_generate, parser=generate)
+    cases = sub.add_parser("paper-cases", parents=[out],
+                           help="replay the four built-in cases plus errata")
+    cases.set_defaults(command=cmd_paper_cases, parser=cases)
     return parser
 
 
@@ -290,21 +286,12 @@ def cmd_paper_cases(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     return ["\n".join(chunks)]
 
 
-_COMMANDS = {
-    "run": cmd_run,
-    "compare": cmd_compare,
-    "generate": cmd_generate,
-    "paper-cases": cmd_paper_cases,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # Every command finishes simulating before it returns, so a workload
         # error leaves no --out file behind.
-        _emit(_COMMANDS[args.command](args, parser), args.out)
+        _emit(args.command(args, args.parser), args.out)
     except (WorkloadError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, MutableSequence, Sequence
 
-from .workload import WorkloadError, _parse_int
+from .workload import WorkloadError, _check_int, _parse_int
 
 _LABELS = {"smdrr": "SMDRR", "rr": "RR", "fcfs": "FCFS", "sjf": "SJF"}
 
@@ -32,8 +32,10 @@ class PolicyConfig:
         if self.kind not in _LABELS:
             raise PolicyError(f"unknown policy kind: {self.kind!r}")
         if self.kind == "rr":
-            if not isinstance(self.quantum, int) or self.quantum < 1:
-                raise PolicyError("rr requires a positive integer quantum, e.g. rr:20")
+            try:
+                _check_int(self.quantum, "quantum", 1)
+            except WorkloadError:
+                raise PolicyError("rr requires a positive integer quantum, e.g. rr:20") from None
         elif self.quantum is not None:
             raise PolicyError(f"{self.kind} does not take a quantum")
 
@@ -56,7 +58,7 @@ def parse_policy(text: str) -> PolicyConfig:
     if not sep or kind != "rr":
         return PolicyConfig(kind, raw if sep else None)
     try:
-        quantum = _parse_int(raw, kind, "quantum")
+        quantum = _parse_int(raw, "quantum", kind)
     except WorkloadError as exc:
         raise PolicyError(str(exc)) from None
     return PolicyConfig(kind, quantum)

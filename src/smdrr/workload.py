@@ -40,14 +40,11 @@ class ProcessSpec:
         if not isinstance(self.pid, str) or not _PID_RE.fullmatch(self.pid):
             raise WorkloadError("pid is empty" if self.pid == "" else
                                 f"pid {self.pid!r} does not match {_PID_RE.pattern}")
-        if not isinstance(self.arrival, int) or isinstance(self.arrival, bool):
-            raise WorkloadError(f"process {self.pid}: arrival must be an integer")
-        if not isinstance(self.burst, int) or isinstance(self.burst, bool):
-            raise WorkloadError(f"process {self.pid}: burst must be an integer")
-        if self.arrival < 0:
-            raise WorkloadError(f"process {self.pid}: arrival must be >= 0")
-        if self.burst < 1:
-            raise WorkloadError(f"process {self.pid}: burst must be >= 1")
+        try:
+            _check_int(self.arrival, "arrival", 0)
+            _check_int(self.burst, "burst", 1)
+        except WorkloadError as exc:
+            raise WorkloadError(f"process {self.pid}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -87,29 +84,38 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.count < 1:
-            raise WorkloadError("count must be >= 1")
-        if self.count > MAX_PROCESSES:
-            raise WorkloadError(f"count must be <= {MAX_PROCESSES}")
-        if self.burst_min < 1:
-            raise WorkloadError("burst_min must be >= 1")
-        if self.burst_max < self.burst_min:
-            raise WorkloadError("burst range is empty (min > max)")
-        if self.arrival_min < 0:
-            raise WorkloadError("arrival_min must be >= 0")
-        if self.arrival_max < self.arrival_min:
-            raise WorkloadError("arrival range is empty (min > max)")
-        if not 0 <= self.seed <= _MASK64:
-            raise WorkloadError("seed must fit in 64 unsigned bits")
+        _check_int(self.count, "count", 1, MAX_PROCESSES)
+        _check_int(self.burst_min, "burst_min", 1)
+        _check_int(self.burst_max, "burst_max", self.burst_min)
+        _check_int(self.arrival_min, "arrival_min", 0)
+        _check_int(self.arrival_max, "arrival_max", self.arrival_min)
+        _check_int(self.seed, "seed", 0, _MASK64)
 
 
-def _parse_int(text: str, where: str, field: str) -> int:
-    if not _INT_RE.fullmatch(text):
-        raise WorkloadError(f"{where}: {field} is not a base-10 integer: {text!r}")
-    try:
-        return int(text)
-    except ValueError:  # more digits than int() converts
-        raise WorkloadError(f"{where}: {field} has too many digits ({len(text)})") from None
+# The one integer rule: text is read by _parse_int, values are checked by
+# _check_int, and every integer input of the package goes through one of them.
+def _parse_int(text: str, field: str, where: str = "") -> int:
+    """Text of ASCII base-10 digits, an optional minus first, as an int.
+
+    Errors read `where: field ...`, or `field ...` when where is empty."""
+    if _INT_RE.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            fault = f"has too many digits ({len(text)})"
+    else:
+        fault = f"is not a base-10 integer: {text!r}"
+    raise WorkloadError(f"{where}: {field} {fault}" if where else f"{field} {fault}")
+
+
+def _check_int(value: object, field: str, least: int, most: int | None = None) -> None:
+    """Raise WorkloadError unless value is an int, not a bool, in [least, most]."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise WorkloadError(f"{field} must be an integer")
+    if value < least:
+        raise WorkloadError(f"{field} must be >= {least}")
+    if most is not None and value > most:
+        raise WorkloadError(f"{field} must be <= {most}")
 
 
 def parse_workload(text: str, format: str = "csv", name: str = "workload") -> Workload:
@@ -143,8 +149,8 @@ def _parse_csv(text: str, name: str) -> Workload:
             if len(cells) != 3:
                 raise WorkloadError(f"line {lineno}: expected 3 fields, got {len(cells)}")
             where = f"line {lineno}"
-            yield (where, cells[0].strip(), _parse_int(cells[1].strip(), where, "arrival"),
-                   _parse_int(cells[2].strip(), where, "burst"))
+            yield (where, cells[0].strip(), _parse_int(cells[1].strip(), "arrival", where),
+                   _parse_int(cells[2].strip(), "burst", where))
 
     return Workload(name, _processes(rows()))
 
@@ -255,7 +261,9 @@ CASE_IDS = tuple(_BUILTIN_CASES)
 
 def paper_case(case_id: int) -> Workload:
     """Return one of the four built-in benchmark workloads (1-4)."""
-    if case_id not in _BUILTIN_CASES:
-        raise WorkloadError(f"unknown case id: {case_id!r} (expected 1-4)")
+    try:
+        _check_int(case_id, "case id", 1, len(_BUILTIN_CASES))
+    except WorkloadError:
+        raise WorkloadError(f"unknown case id: {case_id!r} (expected 1-4)") from None
     rows = _BUILTIN_CASES[case_id]
     return Workload(f"case-{case_id}", tuple(ProcessSpec(*row) for row in rows))

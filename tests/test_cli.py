@@ -221,6 +221,8 @@ def test_generate_malformed_range(capsys):
     ("run", "--case", "1", "--policy", "rr:" + "9" * 5000),
     ("generate", "--n", "9" * 5000, "--burst", "1..3"),
     ("generate", "--n", "2", "--burst", "1.." + "9" * 5000),
+    ("generate", "--n", "2", "--burst", "1..3", "--seed", "9" * 5000),
+    ("generate", "--n", "2", "--burst", "1..3", "--arrival", "0.." + "9" * 5000),
 ])
 def test_numbers_follow_the_ascii_integer_rule(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
@@ -228,7 +230,12 @@ def test_numbers_follow_the_ascii_integer_rule(capsys, argv):
     captured = capsys.readouterr()
     assert excinfo.value.code == 2
     assert captured.out == ""
-    assert "error: " in captured.err
+    # the subcommand's own usage and error line, without argparse's type names
+    assert captured.err.splitlines()[-1].startswith(f"smdrr {argv[0]}: error: ")
+    assert "invalid _int value" not in captured.err and "_range" not in captured.err
+    if any(len(arg) > 5000 for arg in argv):
+        assert "too many digits (5000)" in captured.err
+        assert "9" * 100 not in captured.err
 
 
 def test_undecodable_workload_file_is_data_error(tmp_path, capsys):

@@ -194,5 +194,8 @@ def test_policy_config_validation():
         PolicyConfig("fcfs", 5)
     with pytest.raises(PolicyError):
         PolicyConfig("priority")
+    for quantum in (True, 2.5, "20", 0):
+        with pytest.raises(PolicyError, match="^rr requires a positive integer quantum"):
+            PolicyConfig("rr", quantum)
     assert PolicyConfig("rr", 20).label == "RR"
     assert PolicyConfig("smdrr").label == "SMDRR"

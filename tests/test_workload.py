@@ -238,6 +238,12 @@ def test_generate_respects_ranges_and_pid_order():
         dict(count=3, burst_min=1, burst_max=2, seed=1 << 64),
         dict(count=MAX_PROCESSES + 1, burst_min=1, burst_max=2),
         dict(count=10**12, burst_min=1, burst_max=2),
+        # the one integer rule: an int that is not a bool
+        dict(count=True, burst_min=1, burst_max=3),
+        dict(count=2.5, burst_min=1, burst_max=3),
+        dict(count=3, burst_min=1, burst_max="9"),
+        dict(count=3, burst_min=1, burst_max=3, seed=1.0),
+        dict(count=3, burst_min=1, burst_max=3, seed=True),
     ],
 )
 def test_generator_spec_validation(kwargs):
@@ -259,5 +265,6 @@ def test_paper_cases_validate_and_match_tables():
 
 
 def test_paper_case_unknown_id():
-    with pytest.raises(WorkloadError, match="unknown case"):
-        paper_case(5)
+    for case_id in (5, 0, True, 1.0, "1"):
+        with pytest.raises(WorkloadError, match=f"^unknown case id: {case_id!r} "):
+            paper_case(case_id)

@@ -2,14 +2,17 @@
 
     python3 tools/scale_sweep.py [--src DIR] [--json]
 
-Stdlib only.  For each policy (SMDRR, RR:20, FCFS, SJF) and each n in
-100, 1000, 4000 and 10000 it generates n processes (seed 1) with bursts
-1..1000 ms and arrivals over 0..n*50 ms, times ``simulate`` alone and
-prints µs per segment and the segment count.  A cell counts as linear-time when its µs/segment stays
-flat as n grows.
+Stdlib only.  Each row is a policy with a burst range and an arrival
+spread: SMDRR, RR:20, FCFS and SJF with bursts 1..1000 ms and arrivals
+over 0..n*50 ms, and SMDRR with bursts 1..10**6 ms and every arrival at
+0, the input on which the exact quantum costs time quadratic in the
+number of distinct remaining times.  For each row and each n in 100,
+1000, 4000, 10**4 and 10**5 it generates n processes (seed 1), times
+``simulate`` alone and prints µs per segment and the segment count.  A
+cell counts as linear-time when its µs/segment stays flat as n grows.
 
 Each cell has a wall budget of BUDGET_S seconds.  Before a cell runs, its
-time is predicted from the same policy's previous cell as if the cost
+time is predicted from the same row's previous cell as if the cost
 grew with n squared; a cell predicted over budget is reported as
 skipped and is not run, and so are the larger cells after it.  Cells
 that finish quickly are repeated (up to three times, within the budget)
@@ -30,10 +33,15 @@ import sys
 import time
 from pathlib import Path
 
-POLICIES = ("smdrr", "rr:20", "fcfs", "sjf")
-SIZES = (100, 1000, 4000, 10000)
-BURST = (1, 1000)
-ARRIVAL_MS_PER_PROCESS = 50
+# (policy, burst range in ms, arrival spread in ms per process)
+ROWS = (
+    ("smdrr", (1, 1000), 50),
+    ("rr:20", (1, 1000), 50),
+    ("fcfs", (1, 1000), 50),
+    ("sjf", (1, 1000), 50),
+    ("smdrr", (1, 10**6), 0),
+)
+SIZES = (100, 1000, 4000, 10**4, 10**5)
 SEED = 1
 REPEAT = 3
 BUDGET_S = 10.0  # wall seconds per cell
@@ -44,17 +52,14 @@ def sweep() -> dict:
     from smdrr.policies import parse_policy
     from smdrr.workload import GeneratorSpec, generate_workload
 
-    workloads = {
-        n: generate_workload(GeneratorSpec(n, *BURST, 0, n * ARRIVAL_MS_PER_PROCESS, SEED))
-        for n in SIZES
-    }
     cells = []
-    for spelling in POLICIES:
+    for spelling, burst, spread in ROWS:
         config = parse_policy(spelling)
-        previous = None  # (n, seconds) of this policy's last cell that ran
+        previous = None  # (n, seconds) of this row's last cell that ran
         skipping = False
         for n in SIZES:
-            cell = {"policy": spelling, "n": n}
+            cell = {"policy": spelling, "burst": list(burst), "arrival": f"0..{n * spread}",
+                    "n": n}
             cells.append(cell)
             if previous is not None and not skipping:
                 predicted = previous[1] * (n / previous[0]) ** 2
@@ -62,11 +67,12 @@ def sweep() -> dict:
             if skipping:
                 cell["skipped"] = f"predicted over the {BUDGET_S:g} s budget"
                 continue
+            workload = generate_workload(GeneratorSpec(n, *burst, 0, n * spread, SEED))
             best, spent, runs = float("inf"), 0.0, 0
             while runs < REPEAT and (runs == 0 or spent + best <= BUDGET_S):
                 gc.collect()
                 t0 = time.perf_counter()
-                trace = simulate(workloads[n], config)
+                trace = simulate(workload, config)
                 elapsed = time.perf_counter() - t0
                 best, spent, runs = min(best, elapsed), spent + elapsed, runs + 1
             segments = len(trace.segments)
@@ -74,8 +80,6 @@ def sweep() -> dict:
                         us_per_segment=best / segments * 1e6)
             previous = (n, best)
     return {
-        "burst": list(BURST),
-        "arrival": f"0..n*{ARRIVAL_MS_PER_PROCESS}",
         "seed": SEED,
         "budget_s": BUDGET_S,
         "host": {"python": platform.python_version(), "machine": platform.machine()},
@@ -84,9 +88,11 @@ def sweep() -> dict:
 
 
 def table(result: dict) -> str:
-    lines = [f"{'policy':<7} {'n':>6} {'segments':>9} {'us/segment':>11} {'seconds':>9}"]
+    lines = [f"{'policy':<7} {'burst':>10} {'arrival':>12} {'n':>6} {'segments':>9} "
+             f"{'us/segment':>11} {'seconds':>9}"]
     for cell in result["cells"]:
-        head = f"{cell['policy']:<7} {cell['n']:>6}"
+        burst = "..".join(str(end) for end in cell["burst"])
+        head = f"{cell['policy']:<7} {burst:>10} {cell['arrival']:>12} {cell['n']:>6}"
         if "skipped" in cell:
             lines.append(f"{head} skipped: {cell['skipped']}")
         else:
