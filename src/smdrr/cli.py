@@ -11,9 +11,9 @@ import sys
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
-from .engine import Trace, simulate
+from .engine import ProcessOutcome, Trace, simulate
 from .errata import compute_errata, replay_cases
-from .metrics import Convention, MetricsReport, compute_metrics, format_decimal
+from .metrics import Convention, MetricsReport, ProcessMetrics, compute_metrics
 from .policies import PolicyConfig, PolicyError, parse_policy
 from .report import _table_lines, comparison_report, render_gantt_ascii, render_gantt_svg
 from .workload import (
@@ -144,23 +144,13 @@ def _run_text(policy: PolicyConfig, trace: Trace, report: MetricsReport,
     if not name.isprintable():  # a line break would split the header
         name = json_quote(name)
     lines = [f"== {policy.label} on {name} (convention: {report.convention.value}) =="]
-    header = ("pid", "arrival", "burst", "first_start", "completion",
-              "turnaround", "waiting", "response")
-    table = [header]
-    for outcome, pm in zip(trace.processes, report.processes):
-        table.append(tuple(str(v) for v in (
-            outcome.pid, outcome.arrival, outcome.burst, outcome.first_start,
-            outcome.completion, pm.turnaround, pm.waiting, pm.response)))
+    table = [ProcessOutcome._fields + ProcessMetrics._fields[1:]]
+    table += [tuple(map(str, outcome + pm[1:]))
+              for outcome, pm in zip(trace.processes, report.processes)]
     lines += _table_lines(table)
     if trace.quanta is not None:
         lines.append("quanta: " + ",".join(str(q) for q in trace.quanta))
-    lines.append(
-        f"att={format_decimal(report.att)} awt={format_decimal(report.awt)} "
-        f"cs={report.cs} avg_response={format_decimal(report.avg_response)} "
-        f"makespan={report.makespan} "
-        f"cpu_utilization={format_decimal(report.cpu_utilization)} "
-        f"throughput={format_decimal(report.throughput)}"
-    )
+    lines.append(" ".join(f"{name}={value}" for name, value in report.aggregates()))
     if gantt:
         lines.append(gantt)
     return "\n".join(lines) + "\n"
@@ -225,14 +215,9 @@ def _metrics_json(report: MetricsReport) -> Iterator[str]:
         f'{I3}"waiting": {p.waiting},{I3}"response": {p.response}{REC_END}'
         for p in report.processes
     ])
-    yield (f',{I1}"att": {json_quote(format_decimal(report.att))},'
-           f'{I1}"awt": {json_quote(format_decimal(report.awt))},'
-           f'{I1}"cs": {report.cs},'
-           f'{I1}"avg_response": {json_quote(format_decimal(report.avg_response))},'
-           f'{I1}"makespan": {report.makespan},'
-           f'{I1}"cpu_utilization": {json_quote(format_decimal(report.cpu_utilization))},'
-           f'{I1}"throughput": {json_quote(format_decimal(report.throughput))}'
-           + OBJ_END)
+    yield "".join(
+        f',{I1}"{name}": {json_quote(value) if isinstance(value, str) else value}'
+        for name, value in report.aggregates()) + OBJ_END
 
 
 def _run_json(runs: list[tuple[PolicyConfig, Trace, MetricsReport]],

@@ -62,16 +62,7 @@ class Trace:
             "workload": self.workload_name,
             "policy": self.policy,
             "segments": segments,
-            "processes": [
-                {
-                    "pid": p.pid,
-                    "arrival": p.arrival,
-                    "burst": p.burst,
-                    "first_start": p.first_start,
-                    "completion": p.completion,
-                }
-                for p in self.processes
-            ],
+            "processes": [p._asdict() for p in self.processes],
         }
         if self.quanta is not None:
             doc["quanta"] = list(self.quanta)
@@ -106,17 +97,19 @@ def simulate(workload: Workload, policy: PolicyConfig) -> Trace:
     arrival-sorted processes and the idle segments, and runs rounds over
     a snapshot of the ready list; survivors and new arrivals queue behind
     the current round, which is round robin's FIFO order.  The policies
-    differ in three ways only:
+    differ in two ways only:
 
     - the round: SMDRR takes plan_cycle_smdrr's order, RR and FCFS the
       whole ready list, SJF the one process popped from a heap keyed on
       (burst, arrival, submission index);
     - the slice: SMDRR's cycle quantum, RR's fixed quantum, and for FCFS
-      and SJF the longest burst, so that every process runs to completion;
-    - arrivals: under RR they join ahead of each preempted process; under
-      SMDRR only between cycles, so a process turning up mid-cycle waits
-      for the round to finish before it can be planned.  FCFS and SJF
-      never preempt, so they too admit arrivals between rounds.
+      and SJF the longest burst, so that every process runs to completion.
+
+    One admission rule serves them all: arrivals join the ready list
+    before each round and ahead of each preempted process.  FCFS and SJF
+    never preempt.  SMDRR's admitted arrivals join the ready list, not the
+    running round, and its planner sorts on a total key, so it still plans
+    them only between cycles.
 
     RR raises WorkloadError up front past MAX_SEGMENTS process segments.
     """
@@ -133,10 +126,7 @@ def simulate(workload: Workload, policy: PolicyConfig) -> Trace:
         raise WorkloadError(f"{policy.spelling()} would dispatch {count} segments, "
                             f"more than the cap of {MAX_SEGMENTS}")
     quanta: list[int] | None = [] if smdrr else [quantum] if rr else None
-    # SMDRR's ready list stays in the previous plan's order: every survivor
-    # lost exactly one quantum, so the planner's sort only has to merge the
-    # appended arrivals into an already sorted run.  SJF's is a heap.
-    ready: list = []
+    ready: list = []  # SJF's is a heap
     if sjf:
         def admit(p: _Proc) -> None:
             heapq.heappush(ready, (p.burst, p.arrival, p.submission_index, p))
@@ -174,12 +164,11 @@ def simulate(workload: Workload, policy: PolicyConfig) -> Trace:
                 proc.completion = now
                 continue
             proc.remaining = remaining - run
-            if rr:
-                # Arrivals come off the cursor already in (arrival, submission
-                # index) order and join ahead of the preempted process.
-                while cursor < total and pending[cursor].arrival <= now:
-                    admit(pending[cursor])
-                    cursor += 1
+            # Arrivals come off the cursor already in (arrival, submission
+            # index) order and join ahead of the preempted process.
+            while cursor < total and pending[cursor].arrival <= now:
+                admit(pending[cursor])
+                cursor += 1
             ready.append(proc)
     outcomes = tuple(
         ProcessOutcome(p.pid, p.arrival, p.burst, p.first_start, p.completion)

@@ -16,9 +16,9 @@ sandwich is one switch.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .engine import Trace
 
@@ -41,7 +41,9 @@ class MetricsReport:
 
     Aggregates are exact rationals; decimal rendering happens only at the
     report boundary (format_decimal) so table values like 85.75 or 140.4
-    match exactly rather than within float epsilon.
+    match exactly rather than within float epsilon.  Field order is output
+    order: every field after processes is an aggregate, and to_dict, the
+    CLI's text summary and its JSON list them in this order.
     """
 
     convention: Convention
@@ -54,25 +56,18 @@ class MetricsReport:
     cpu_utilization: Fraction
     throughput: Fraction
 
+    def aggregates(self) -> Iterator[tuple[str, str | int]]:
+        """(name, value) of each aggregate field, in field order: each
+        Fraction as its format_decimal text, each count as an int."""
+        for field in fields(self)[2:]:
+            value = getattr(self, field.name)
+            yield field.name, format_decimal(value) if isinstance(value, Fraction) else value
+
     def to_dict(self) -> dict:
         return {
             "convention": self.convention.value,
-            "processes": [
-                {
-                    "pid": p.pid,
-                    "turnaround": p.turnaround,
-                    "waiting": p.waiting,
-                    "response": p.response,
-                }
-                for p in self.processes
-            ],
-            "att": format_decimal(self.att),
-            "awt": format_decimal(self.awt),
-            "cs": self.cs,
-            "avg_response": format_decimal(self.avg_response),
-            "makespan": self.makespan,
-            "cpu_utilization": format_decimal(self.cpu_utilization),
-            "throughput": format_decimal(self.throughput),
+            "processes": [p._asdict() for p in self.processes],
+            **dict(self.aggregates()),
         }
 
 

@@ -71,20 +71,26 @@ def harmonic_mean_quantum(remaining: Sequence[int]) -> int:
     of an integer boundary (e.g. [2,3,6] has harmonic mean exactly 3,
     which naive float math rounds up to 4) and a wrong quantum rewrites
     the whole schedule.  The sum of c/v over each distinct value v (seen
-    c times) is kept as num/den on a running common denominator, with no
-    gcd reduction per step; the ceiling of n*den/num is then one integer
-    division.  The result always lies within
-    [min(remaining), max(remaining)].
+    c times) is a balanced pairwise sum of num/den terms, with no gcd
+    reduction: each level adds neighbouring pairs and carries an odd last
+    term up unchanged, so every denominator is the product of the values
+    under it and the big-integer products stay balanced.  The ceiling of
+    n*den/num is then one integer division.  The result always lies
+    within [min(remaining), max(remaining)].
     """
     if not remaining:
         raise ValueError("remaining burst list is empty")
     counts = Counter(remaining)
     if min(counts) < 1:
         raise ValueError("remaining bursts must be >= 1")
-    num, den = 0, 1
-    for value, count in counts.items():
-        num = num * value + count * den
-        den *= value
+    terms = [(count, value) for value, count in counts.items()]
+    while len(terms) > 1:
+        paired = [(n1 * d2 + n2 * d1, d1 * d2)
+                  for (n1, d1), (n2, d2) in zip(terms[::2], terms[1::2])]
+        if len(terms) % 2:
+            paired.append(terms[-1])
+        terms = paired
+    num, den = terms[0]
     return -(-len(remaining) * den // num)
 
 

@@ -142,6 +142,15 @@ def test_report_json_fields():
     assert doc["processes"][0] == {"pid": "P1", "turnaround": 20, "waiting": 0, "response": 0}
 
 
+def test_aggregates_in_field_order():
+    report = compute_metrics(simulate(paper_case(1), SMDRR), Convention.PAPER_ZERO)
+    assert list(report.aggregates()) == [
+        ("att", "124.25"), ("awt", "66"), ("cs", 6), ("avg_response", "45.25"),
+        ("makespan", 233), ("cpu_utilization", "1"), ("throughput", "0.0172"),
+    ]
+    assert list(report.to_dict())[2:] == [name for name, _ in report.aggregates()]
+
+
 @pytest.mark.parametrize(
     "value,rendered",
     [

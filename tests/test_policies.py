@@ -38,6 +38,15 @@ def exact_quantum(values):
         ([6, 12, 18], 10),
         # 2 / (1/3 + 1/6) = 4 exactly
         ([3, 6], 4),
+        # 2**k + 1 distinct values: the pairwise sum carries an odd last
+        # term up at every level but the last two; descending, that term
+        # is 1/1, the largest in the sum
+        (list(range(1, 2**1 + 2)), 2),
+        (list(range(1, 2**5 + 2)), 9),
+        (list(range(1, 2**12 + 2)), 461),
+        (list(range(2**1 + 1, 0, -1)), 2),
+        (list(range(2**5 + 1, 0, -1)), 9),
+        (list(range(2**12 + 1, 0, -1)), 461),
     ],
 )
 def test_harmonic_mean_quantum_values(values, expected):

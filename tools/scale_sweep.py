@@ -12,9 +12,10 @@ number of distinct remaining times.  For each row and each n in 100,
 cell counts as linear-time when its µs/segment stays flat as n grows.
 
 Each cell has a wall budget of BUDGET_S seconds.  Before a cell runs, its
-time is predicted from the same row's previous cell as if the cost
-grew with n squared; a cell predicted over budget is reported as
-skipped and is not run, and so are the larger cells after it.  Cells
+time is predicted from the row's own growth: the exponent of n between
+the row's last two cells that ran, never below 1 (linear), and linear
+after the row's first cell.  A cell predicted over budget is reported
+as skipped and is not run, and so are the larger cells after it.  Cells
 that finish quickly are repeated (up to three times, within the budget)
 and the fastest run is kept.
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import platform
 import sys
 import time
@@ -55,15 +57,19 @@ def sweep() -> dict:
     cells = []
     for spelling, burst, spread in ROWS:
         config = parse_policy(spelling)
-        previous = None  # (n, seconds) of this row's last cell that ran
+        ran = []  # (n, seconds) of this row's cells that ran
         skipping = False
         for n in SIZES:
             cell = {"policy": spelling, "burst": list(burst), "arrival": f"0..{n * spread}",
                     "n": n}
             cells.append(cell)
-            if previous is not None and not skipping:
-                predicted = previous[1] * (n / previous[0]) ** 2
-                skipping = predicted > BUDGET_S
+            if ran and not skipping:
+                n1, s1 = ran[-1]
+                growth = 1.0
+                if len(ran) > 1:
+                    n0, s0 = ran[-2]
+                    growth = max(1.0, math.log(s1 / s0) / math.log(n1 / n0))
+                skipping = s1 * (n / n1) ** growth > BUDGET_S
             if skipping:
                 cell["skipped"] = f"predicted over the {BUDGET_S:g} s budget"
                 continue
@@ -78,7 +84,7 @@ def sweep() -> dict:
             segments = len(trace.segments)
             cell.update(seconds=best, segments=segments, runs=runs,
                         us_per_segment=best / segments * 1e6)
-            previous = (n, best)
+            ran.append((n, best))
     return {
         "seed": SEED,
         "budget_s": BUDGET_S,
