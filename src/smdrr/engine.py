@@ -111,7 +111,7 @@ def simulate(workload: Workload, policy: PolicyConfig) -> Trace:
     running round, and its planner sorts on a total key, so it still plans
     them only between cycles.
 
-    RR raises WorkloadError up front past MAX_SEGMENTS process segments.
+    RR (up front) and SMDRR (per cycle) raise WorkloadError past MAX_SEGMENTS.
     """
     procs = [
         _Proc(p.pid, p.arrival, p.burst, i)
@@ -150,6 +150,8 @@ def simulate(workload: Workload, policy: PolicyConfig) -> Trace:
             if smdrr:
                 batch, quantum = plan_cycle_smdrr(ready)
                 quanta.append(quantum)
+                if len(segments) + len(batch) > MAX_SEGMENTS:
+                    raise WorkloadError(f"smdrr would dispatch more than {MAX_SEGMENTS} segments")
             else:
                 batch = ready.copy()
             ready.clear()

@@ -16,6 +16,7 @@ sandwich is one switch.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -111,23 +112,17 @@ def format_decimal(value: Fraction) -> str:
     """
     sign = "-" if value < 0 else ""
     value = abs(value)
-    if value.denominator == 1:
-        return sign + str(value.numerator)
-    rest = value.denominator
-    for factor in (2, 5):
-        while rest % factor == 0:
-            rest //= factor
-    if rest == 1:
-        places = 0
-        scaled = value
-        while scaled.denominator != 1:
-            scaled *= 10
-            places += 1
-        digits = str(scaled.numerator).rjust(places + 1, "0")
-    else:
+    # Each step strips one 2 and one 5 from the denominator, so 2**a * 5**b
+    # reaches 1 after max(a, b) steps: the least p with den | 10**p.
+    rest, places = value.denominator, 0
+    while (common := math.gcd(rest, 10)) > 1:
+        rest //= common
+        places += 1
+    if rest != 1:
         places = 4
-        digits = str(round(value * 10**places)).rjust(places + 1, "0")
-        while places > 2 and digits.endswith("0"):
-            digits = digits[:-1]
-            places -= 1
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    digits = str(round(value * 10**places)).rjust(places + 1, "0")
+    while rest != 1 and places > 2 and digits.endswith("0"):
+        digits = digits[:-1]
+        places -= 1
+    point = len(digits) - places
+    return sign + digits[:point] + ("." if places else "") + digits[point:]

@@ -14,7 +14,7 @@ from typing import Iterable, MutableSequence, Sequence
 
 from .workload import WorkloadError, _check_int, _parse_int
 
-_LABELS = {"smdrr": "SMDRR", "rr": "RR", "fcfs": "FCFS", "sjf": "SJF"}
+_KINDS = ("smdrr", "rr", "fcfs", "sjf")
 
 
 class PolicyError(ValueError):
@@ -29,7 +29,7 @@ class PolicyConfig:
     quantum: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _LABELS:
+        if self.kind not in _KINDS:
             raise PolicyError(f"unknown policy kind: {self.kind!r}")
         if self.kind == "rr":
             try:
@@ -42,13 +42,11 @@ class PolicyConfig:
     @property
     def label(self) -> str:
         """Table label: RR, SMDRR, FCFS or SJF."""
-        return _LABELS[self.kind]
+        return self.kind.upper()
 
     def spelling(self) -> str:
         """CLI/config spelling, e.g. 'smdrr' or 'rr:20'."""
-        if self.kind == "rr":
-            return f"rr:{self.quantum}"
-        return self.kind
+        return self.kind if self.quantum is None else f"{self.kind}:{self.quantum}"
 
 
 def parse_policy(text: str) -> PolicyConfig:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 _INT_RE = re.compile(r"-?[0-9]+", re.ASCII)
 # Pids are labels in CSV cells, SVG text and the ASCII lane, so they hold
@@ -16,11 +16,12 @@ _INT_RE = re.compile(r"-?[0-9]+", re.ASCII)
 # digit, so that no pid reads like the idle label "--".  The leading run
 # holds no letter or digit, so a match never backtracks.
 _PID_RE = re.compile(r"[_.:-]*[A-Za-z0-9][A-Za-z0-9_.:-]*")
-_CSV_HEADER = "pid,arrival,burst"
+# Every output format repeats a pid once per segment, so its length is capped.
+MAX_PID_LENGTH = 64
 _MASK64 = (1 << 64) - 1
 # Generator size cap: a hostile --n fails at once instead of exhausting memory.
 MAX_PROCESSES = 1_000_000
-# RR segment cap, checked before simulating: 0.75 GB of trace at 150 B a segment.
+# RR and SMDRR segment cap: 0.75 GB of trace at 150 B a segment.
 MAX_SEGMENTS = 5_000_000
 
 
@@ -37,6 +38,8 @@ class ProcessSpec:
     burst: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.pid, str) and len(self.pid) > MAX_PID_LENGTH:
+            raise WorkloadError(f"pid has {len(self.pid)} characters, more than {MAX_PID_LENGTH}")
         if not isinstance(self.pid, str) or not _PID_RE.fullmatch(self.pid):
             raise WorkloadError("pid is empty" if self.pid == "" else
                                 f"pid {self.pid!r} does not match {_PID_RE.pattern}")
@@ -45,6 +48,11 @@ class ProcessSpec:
             _check_int(self.burst, "burst", 1)
         except WorkloadError as exc:
             raise WorkloadError(f"process {self.pid}: {exc}") from None
+
+
+# The one list of process fields, in file column and JSON key order.
+_FIELDS = tuple(field.name for field in fields(ProcessSpec))
+_CSV_HEADER = ",".join(_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -146,9 +154,9 @@ def _parse_csv(text: str, name: str) -> Workload:
             if not line:
                 continue
             cells = line.split(",")
-            if len(cells) != 3:
-                raise WorkloadError(f"line {lineno}: expected 3 fields, got {len(cells)}")
             where = f"line {lineno}"
+            if len(cells) != len(_FIELDS):
+                raise WorkloadError(f"{where}: expected {len(_FIELDS)} fields, got {len(cells)}")
             yield (where, cells[0].strip(), _parse_int(cells[1].strip(), "arrival", where),
                    _parse_int(cells[2].strip(), "burst", where))
 
@@ -173,10 +181,10 @@ def _parse_json(text: str) -> Workload:
             where = f"processes[{i}]"
             if not isinstance(row, dict):
                 raise WorkloadError(f"{where}: must be an object")
-            for field in ("pid", "arrival", "burst"):
+            for field in _FIELDS:
                 if field not in row:
                     raise WorkloadError(f"{where}: missing field {field!r}")
-            yield where, row["pid"], row["arrival"], row["burst"]
+            yield (where, *(row[field] for field in _FIELDS))
 
     return Workload(doc["name"], _processes(rows()))
 
@@ -200,16 +208,12 @@ def _processes(rows) -> tuple[ProcessSpec, ...]:
 def serialize_workload(w: Workload, format: str = "csv") -> str:
     """Render a workload as CSV or JSON text; parse_workload inverts it."""
     if format == "csv":
-        rows = [_CSV_HEADER]
-        rows += [f"{p.pid},{p.arrival},{p.burst}" for p in w.processes]
-        return "\n".join(rows) + "\n"
+        rows = [_FIELDS] + [[str(getattr(p, f)) for f in _FIELDS] for p in w.processes]
+        return "".join(",".join(row) + "\n" for row in rows)
     if format == "json":
         doc = {
             "name": w.name,
-            "processes": [
-                {"pid": p.pid, "arrival": p.arrival, "burst": p.burst}
-                for p in w.processes
-            ],
+            "processes": [{f: getattr(p, f) for f in _FIELDS} for p in w.processes],
         }
         return json.dumps(doc, indent=2) + "\n"
     raise ValueError(f"unknown workload format: {format!r}")

@@ -39,10 +39,6 @@ def criterion(number, description):
     print(f"criterion {number} ({description}): PASS")
 
 
-def segments_of(trace):
-    return [(s.occupant, s.start, s.end) for s in trace.segments]
-
-
 def zero_referenced(case_id, config):
     return compute_metrics(simulate(paper_case(case_id), config), Convention.PAPER_ZERO)
 
@@ -109,13 +105,13 @@ def test_criterion_5_engine_equals_independent_oracle():
         for case_id in (1, 2, 3, 4):
             w = paper_case(case_id)
             triples = [(p.pid, p.arrival, p.burst) for p in w.processes]
-            assert segments_of(simulate(w, RR20)) == oracle.rr_trace(triples, 20)
+            assert list(simulate(w, RR20).segments) == oracle.rr_trace(triples, 20)
             sm = simulate(w, SMDRR)
             expected_segments, cycles = oracle.smdrr_trace(triples)
-            assert segments_of(sm) == expected_segments
+            assert list(sm.segments) == expected_segments
             assert list(sm.quanta) == [q for _, q in cycles] == SMDRR_QUANTA[case_id]
-            assert segments_of(simulate(w, FCFS)) == oracle.fcfs_trace(triples)
-            assert segments_of(simulate(w, SJF)) == oracle.sjf_trace(triples)
+            assert list(simulate(w, FCFS).segments) == oracle.fcfs_trace(triples)
+            assert list(simulate(w, SJF).segments) == oracle.sjf_trace(triples)
 
 
 @pytest.fixture(scope="module")
@@ -166,10 +162,10 @@ def test_criterion_6_property_suite(fuzz_workloads):
 
             # engine agrees with the independent followers on fuzzed input too
             expected_segments, cycles = oracle.smdrr_trace(triples)
-            assert segments_of(smdrr_trace) == expected_segments
-            assert segments_of(rr_trace) == oracle.rr_trace(triples, 20)
-            assert segments_of(fcfs_trace) == oracle.fcfs_trace(triples)
-            assert segments_of(sjf_trace) == oracle.sjf_trace(triples)
+            assert list(smdrr_trace.segments) == expected_segments
+            assert list(rr_trace.segments) == oracle.rr_trace(triples, 20)
+            assert list(fcfs_trace.segments) == oracle.fcfs_trace(triples)
+            assert list(sjf_trace.segments) == oracle.sjf_trace(triples)
             assert list(smdrr_trace.quanta) == [q for _, q in cycles]
             offset = 0
             segments = [s for s in smdrr_trace.segments if s.occupant is not None]

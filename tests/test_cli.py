@@ -5,6 +5,7 @@ import json
 import pytest
 
 import smdrr.cli
+import smdrr.engine
 import smdrr.errata
 from goldens import EXPECTED_ERRATA
 from smdrr.cli import main
@@ -254,7 +255,8 @@ def test_undecodable_workload_file_is_data_error(tmp_path, capsys):
      + "9" * 5000 + "}]}"),
     ("idle.csv", "pid,arrival,burst\n--,0,4\nB,10,4\n"),
     ("deep.json", "[" * 100_000),
-], ids=["huge-csv", "huge-json", "idle-pid", "deep-json"])
+    ("long.csv", "pid,arrival,burst\n" + "A" * 65 + ",0,4\n"),
+], ids=["huge-csv", "huge-json", "idle-pid", "deep-json", "pid-of-65"])
 def test_bad_workload_is_one_error_line(tmp_path, capsys, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -273,6 +275,34 @@ def test_rr_beyond_the_segment_cap_is_one_error_line(capsys):
     assert out == ""
     assert err == (f"error: rr:1 would dispatch 1000000000 segments, "
                    f"more than the cap of {MAX_SEGMENTS}\n")
+
+
+def test_smdrr_beyond_the_segment_cap_is_one_error_line(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(smdrr.engine, "MAX_SEGMENTS", 100)
+    target = tmp_path / "x.json"
+    code, out, err = run_cli(capsys, "run", "--n", "50", "--burst", "1..1000000", "--seed", "1",
+                             "--policy", "smdrr", "--format", "json", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err == "error: smdrr would dispatch more than 100 segments\n"
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("length", [64, 65])
+def test_pid_length_cap(tmp_path, capsys, length):
+    path = tmp_path / "w.csv"
+    path.write_text("pid,arrival,burst\n" + "A" * length + ",0,4\n", encoding="utf-8")
+    target = tmp_path / "x.json"
+    code, out, err = run_cli(capsys, "run", "--workload", str(path), "--policy", "rr:1",
+                             "--format", "json", "--out", str(target))
+    assert out == ""
+    if length == 64:
+        assert code == 0 and err == ""
+        assert json.loads(target.read_text())[0]["trace"]["processes"][0]["pid"] == "A" * 64
+    else:
+        assert code == 1
+        assert err == "error: line 2: pid has 65 characters, more than 64\n"
+        assert not target.exists()
 
 
 def test_run_text_header_quotes_a_name_with_a_line_break(tmp_path, capsys):

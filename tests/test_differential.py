@@ -41,7 +41,7 @@ def assert_engine_follows(triples):
     for spelling in POLICIES:
         trace = simulate(workload, parse_policy(spelling))
         segments, quanta = follow(spelling, triples)
-        assert [(s.occupant, s.start, s.end) for s in trace.segments] == segments, spelling
+        assert list(trace.segments) == segments, spelling
         assert (None if trace.quanta is None else list(trace.quanta)) == quanta, spelling
 
 

@@ -11,27 +11,31 @@ from smdrr.engine import (
 )
 from smdrr.metrics import ProcessMetrics
 from smdrr.policies import PolicyConfig
-from smdrr.workload import MAX_SEGMENTS, ProcessSpec, Workload, WorkloadError, paper_case
+from smdrr.workload import (
+    MAX_SEGMENTS,
+    GeneratorSpec,
+    ProcessSpec,
+    Workload,
+    WorkloadError,
+    generate_workload,
+    paper_case,
+)
 
 RR20 = PolicyConfig("rr", 20)
 SMDRR = PolicyConfig("smdrr")
 
 
-def segment_triples(trace):
-    return [(s.occupant, s.start, s.end) for s in trace.segments]
-
-
 @pytest.mark.parametrize("case_id", [1, 2, 3, 4])
 def test_rr_traces_match_goldens(case_id):
     trace = simulate(paper_case(case_id), RR20)
-    assert segment_triples(trace) == RR_SEGMENTS[case_id]
+    assert list(trace.segments) == RR_SEGMENTS[case_id]
     assert trace.quanta == (20,)
 
 
 @pytest.mark.parametrize("case_id", [1, 2, 3, 4])
 def test_smdrr_traces_match_goldens(case_id):
     trace = simulate(paper_case(case_id), SMDRR)
-    assert segment_triples(trace) == SMDRR_SEGMENTS[case_id]
+    assert list(trace.segments) == SMDRR_SEGMENTS[case_id]
     assert list(trace.quanta) == SMDRR_QUANTA[case_id]
 
 
@@ -45,14 +49,14 @@ def test_case3_smdrr_opens_with_singleton_cycle():
     # P1 is alone at t=0, so the first cycle covers just it (quantum 10)
     trace = simulate(paper_case(3), SMDRR)
     assert trace.quanta[0] == 10
-    assert segment_triples(trace)[0] == ("P1", 0, 10)
+    assert trace.segments[0] == ("P1", 0, 10)
 
 
 @pytest.mark.parametrize("policy", [SMDRR, PolicyConfig("rr", 5), PolicyConfig("fcfs"), PolicyConfig("sjf")])
 def test_single_process_is_one_segment(policy):
     w = Workload("solo", (ProcessSpec("P1", 0, 5),))
     trace = simulate(w, policy)
-    assert segment_triples(trace) == [("P1", 0, 5)]
+    assert list(trace.segments) == [("P1", 0, 5)]
     assert trace.processes[0].first_start == 0
     assert trace.processes[0].completion == 5
 
@@ -60,21 +64,21 @@ def test_single_process_is_one_segment(policy):
 def test_single_process_rr_requeues_itself():
     w = Workload("solo", (ProcessSpec("P1", 0, 50),))
     trace = simulate(w, PolicyConfig("rr", 20))
-    assert segment_triples(trace) == [("P1", 0, 20), ("P1", 20, 40), ("P1", 40, 50)]
+    assert list(trace.segments) == [("P1", 0, 20), ("P1", 20, 40), ("P1", 40, 50)]
 
 
 @pytest.mark.parametrize("policy", [SMDRR, RR20, PolicyConfig("fcfs"), PolicyConfig("sjf")])
 def test_idle_gap_is_recorded(policy):
     w = Workload("gap", (ProcessSpec("P1", 0, 2), ProcessSpec("P2", 10, 3)))
     trace = simulate(w, policy)
-    assert segment_triples(trace) == [("P1", 0, 2), (None, 2, 10), ("P2", 10, 13)]
+    assert list(trace.segments) == [("P1", 0, 2), (None, 2, 10), ("P2", 10, 13)]
     assert sum(s.end - s.start for s in trace.segments if s.occupant is None) == 8
 
 
 def test_trace_starts_at_first_arrival():
     w = Workload("late", (ProcessSpec("P1", 5, 2),))
     trace = simulate(w, SMDRR)
-    assert segment_triples(trace) == [("P1", 5, 7)]
+    assert list(trace.segments) == [("P1", 5, 7)]
     assert trace.makespan == 7
 
 
@@ -83,15 +87,15 @@ def test_sjf_differs_from_fcfs_on_late_short_job():
                          ProcessSpec("P3", 2, 1)))
     fcfs = simulate(w, PolicyConfig("fcfs"))
     sjf = simulate(w, PolicyConfig("sjf"))
-    assert segment_triples(fcfs) == [("P1", 0, 10), ("P2", 10, 12), ("P3", 12, 13)]
-    assert segment_triples(sjf) == [("P1", 0, 10), ("P3", 10, 11), ("P2", 11, 13)]
+    assert list(fcfs.segments) == [("P1", 0, 10), ("P2", 10, 12), ("P3", 12, 13)]
+    assert list(sjf.segments) == [("P1", 0, 10), ("P3", 10, 11), ("P2", 11, 13)]
 
 
 def test_smdrr_mid_cycle_arrival_waits_for_next_cycle():
     # P2 arrives during P1's slice but is only planned at the next round
     w = Workload("midcycle", (ProcessSpec("P1", 0, 10), ProcessSpec("P2", 1, 1)))
     trace = simulate(w, SMDRR)
-    assert segment_triples(trace) == [("P1", 0, 10), ("P2", 10, 11)]
+    assert list(trace.segments) == [("P1", 0, 10), ("P2", 10, 11)]
     assert trace.quanta == (10, 1)
 
 
@@ -99,13 +103,13 @@ def test_rr_arrivals_enqueue_ahead_of_preempted():
     # at t=2: P2 (arrived t=1) must run before P1 is re-dispatched
     w = Workload("order", (ProcessSpec("P1", 0, 4), ProcessSpec("P2", 1, 2)))
     trace = simulate(w, PolicyConfig("rr", 2))
-    assert segment_triples(trace) == [("P1", 0, 2), ("P2", 2, 4), ("P1", 4, 6)]
+    assert list(trace.segments) == [("P1", 0, 2), ("P2", 2, 4), ("P1", 4, 6)]
 
 
 def test_rr_completion_at_quantum_boundary_not_requeued():
     w = Workload("exact", (ProcessSpec("P1", 0, 4), ProcessSpec("P2", 0, 3)))
     trace = simulate(w, PolicyConfig("rr", 4))
-    assert segment_triples(trace) == [("P1", 0, 4), ("P2", 4, 7)]
+    assert list(trace.segments) == [("P1", 0, 4), ("P2", 4, 7)]
 
 
 def test_quantum_sequence_unsupported_for_nonquantum_policies():
@@ -169,7 +173,7 @@ def test_rr_refuses_more_segments_than_the_cap_before_simulating():
                                             f"more than the cap of {MAX_SEGMENTS}$"):
         simulate(w, PolicyConfig("rr", 1))
     # the cap counts RR's slices, not the burst: one FCFS segment runs
-    assert segment_triples(simulate(w, PolicyConfig("fcfs"))) == [("P1", 0, 10**9)]
+    assert list(simulate(w, PolicyConfig("fcfs")).segments) == [("P1", 0, 10**9)]
 
 
 def test_rr_segment_cap_is_inclusive(monkeypatch):
@@ -180,3 +184,31 @@ def test_rr_segment_cap_is_inclusive(monkeypatch):
     wider = Workload("w", (ProcessSpec("P1", 0, 5), ProcessSpec("P2", 9, 3)))
     with pytest.raises(WorkloadError, match="would dispatch 5 segments, more than the cap of 4"):
         simulate(wider, PolicyConfig("rr", 2))
+
+
+def test_smdrr_segment_cap_is_inclusive(monkeypatch):
+    # case 1 under SMDRR is 7 process segments over cycles of 4, 2 and 1
+    assert len(simulate(paper_case(1), SMDRR).segments) == 7
+    monkeypatch.setattr(smdrr.engine, "MAX_SEGMENTS", 7)
+    assert len(simulate(paper_case(1), SMDRR).segments) == 7
+    monkeypatch.setattr(smdrr.engine, "MAX_SEGMENTS", 6)
+    with pytest.raises(WorkloadError, match="^smdrr would dispatch more than 6 segments$"):
+        simulate(paper_case(1), SMDRR)
+
+
+def test_smdrr_segment_cap_counts_idle_segments(monkeypatch):
+    # P1 runs, the CPU idles, P2 runs: three segments in two cycles
+    w = Workload("w", (ProcessSpec("P1", 0, 2), ProcessSpec("P2", 9, 3)))
+    assert list(simulate(w, SMDRR).segments) == [("P1", 0, 2), (None, 2, 9), ("P2", 9, 12)]
+    monkeypatch.setattr(smdrr.engine, "MAX_SEGMENTS", 2)
+    with pytest.raises(WorkloadError, match="^smdrr would dispatch more than 2 segments$"):
+        simulate(w, SMDRR)
+
+
+def test_smdrr_wide_bursts_stop_at_the_cap(monkeypatch):
+    # 50 bursts over 1..10**6 take 253 segments, well past a cap of 100
+    w = generate_workload(GeneratorSpec(50, 1, 10**6, seed=1))
+    assert len(simulate(w, SMDRR).segments) == 253
+    monkeypatch.setattr(smdrr.engine, "MAX_SEGMENTS", 100)
+    with pytest.raises(WorkloadError, match="^smdrr would dispatch more than 100 segments$"):
+        simulate(w, SMDRR)

@@ -41,10 +41,6 @@ def random_workloads(seed, arrivals=True):
         )), rng
 
 
-def triples(trace):
-    return [(s.occupant, s.start, s.end) for s in trace.segments]
-
-
 def standard_metrics(trace):
     m = compute_metrics(trace, Convention.STANDARD)
     return m.processes, m.att, m.awt, m.cs, m.avg_response
@@ -60,8 +56,8 @@ def transform(workload, delta, rename):
 def assert_transformed(base, other, delta, rename):
     """other, the trace of transform(workload, delta, rename), is base with
     every time shifted by delta and every pid renamed."""
-    assert triples(other) == [
-        (None if o is None else rename[o], s + delta, e + delta) for o, s, e in triples(base)
+    assert list(other.segments) == [
+        (None if o is None else rename[o], s + delta, e + delta) for o, s, e in base.segments
     ]
     assert other.quanta == base.quanta
     assert list(other.processes) == [

@@ -1,6 +1,9 @@
+import decimal
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from goldens import COMPUTED_TABLES
 from smdrr.engine import Segment, Trace, simulate
@@ -173,7 +176,43 @@ def test_aggregates_in_field_order():
         (Fraction(3, 10000), "0.0003"),
         (Fraction(9, 30), "0.3"),
         (Fraction(31, 103), "0.301"),
+        # the trim stops at 2 places, also for a value that rounds to a whole number
+        (Fraction(49999, 99999), "0.50"),
+        (Fraction(1999999, 1000001), "2.00"),
+        (Fraction(-1, 300000), "-0.00"),
     ],
 )
 def test_format_decimal(value, rendered):
     assert format_decimal(value) == rendered
+
+
+def decimal_reference(value: Fraction) -> str:
+    """format_decimal's rule restated with decimal.Decimal: exact division
+    when the expansion terminates, else 4 places trimmed down to 2."""
+    with decimal.localcontext() as ctx:
+        # Far more digits than any terminating case below needs, so Inexact
+        # is raised only by a non-terminating expansion.
+        ctx.prec = 200
+        ctx.traps[decimal.Inexact] = True
+        try:
+            return format(Decimal(value.numerator) / value.denominator, "f")
+        except decimal.Inexact:
+            ctx.traps[decimal.Inexact] = False
+        rounded = (Decimal(value.numerator) / value.denominator).quantize(Decimal("0.0001"))
+        rounded = rounded.normalize()
+        if rounded.as_tuple().exponent > -2:
+            rounded = rounded.quantize(Decimal("0.01"))
+        return format(rounded, "f")
+
+
+denominators = st.one_of(
+    st.integers(1, 10**6),
+    st.builds(lambda a, b: 2**a * 5**b, st.integers(0, 40), st.integers(0, 40)),
+)
+
+
+@settings(max_examples=500)
+@given(st.integers(-10**12, 10**12), denominators)
+def test_format_decimal_matches_a_decimal_reference(numerator, denominator):
+    value = Fraction(numerator, denominator)
+    assert format_decimal(value) == decimal_reference(value)

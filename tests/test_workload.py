@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smdrr.workload import (
+    MAX_PID_LENGTH,
     MAX_PROCESSES,
     GeneratorSpec,
     ProcessSpec,
@@ -54,6 +55,11 @@ def test_parse_csv_case1():
         ("pid,arrival,burst\n--,0,4\nB,10,4\n", r"^line 2: pid '--' does not match"),
         ("pid,arrival,burst\n-,0,4\n", r"^line 2: pid '-' does not match"),
         ("pid,arrival,burst\n.,0,4\n", r"^line 2: pid '\.' does not match"),
+        # a 64-character pid passes on line 2, a 65-character one is refused by length
+        pytest.param("pid,arrival,burst\n" + "A" * 64 + ",0,5\nP2,0\n",
+                     r"^line 3: expected 3 fields, got 2$", id="pid-of-64-accepted"),
+        pytest.param("pid,arrival,burst\n" + "A" * 65 + ",0,5\n",
+                     r"^line 2: pid has 65 characters, more than 64$", id="pid-of-65"),
     ],
 )
 def test_parse_csv_errors(text, fragment):
@@ -95,6 +101,13 @@ def test_parse_json_case():
          r"^processes\[0\]: pid '--' does not match"),
         # nesting deeper than the decoder's recursion limit
         pytest.param("[" * 100_000, "^invalid JSON: maximum recursion depth", id="deep-nesting"),
+        # a 64-character pid passes in processes[0], a 65-character one is refused by length
+        pytest.param('{"name": "w", "processes": [{"pid": "' + "A" * 64 + '", "arrival": 0, '
+                     '"burst": 1}, {"pid": "P2", "arrival": 0}]}',
+                     r"^processes\[1\]: missing field 'burst'$", id="pid-of-64-accepted"),
+        pytest.param('{"name": "w", "processes": [{"pid": "' + "A" * 65 + '", "arrival": 0, '
+                     '"burst": 1}]}',
+                     r"^processes\[0\]: pid has 65 characters, more than 64$", id="pid-of-65"),
     ],
 )
 def test_parse_json_errors(text, fragment):
@@ -134,6 +147,9 @@ def test_process_spec_validation():
         ProcessSpec("P1", 0, 0)
     with pytest.raises(WorkloadError):
         ProcessSpec("P1", -3, 1)
+    assert ProcessSpec("A" * MAX_PID_LENGTH, 0, 1).pid == "A" * 64
+    with pytest.raises(WorkloadError, match="^pid has 65 characters, more than 64$"):
+        ProcessSpec("A" * (MAX_PID_LENGTH + 1), 0, 1)
 
 
 # The pid grammar, stated here independently of smdrr.workload: at least
