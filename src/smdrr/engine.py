@@ -8,7 +8,6 @@ previous one ended, with idle segments filling any CPU gaps.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import NamedTuple
 
 # Not called here: smdrr.engine.rr_requeue_position is a perfbench LAYERS target.
@@ -33,8 +32,7 @@ class ProcessOutcome(NamedTuple):
     completion: int
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     """Simulation output: segments plus per-process outcomes.
 
     quanta holds the quantum chosen at each SMDRR cycle (a single entry

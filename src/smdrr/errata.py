@@ -10,7 +10,7 @@ matched or silently fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import Trace, simulate
 from .metrics import Convention, MetricsReport, compute_metrics
@@ -34,8 +34,7 @@ PUBLISHED_TABLES: dict[tuple[int, str], tuple[str, str, str, int]] = {
 }
 
 
-@dataclass(frozen=True)
-class Erratum:
+class Erratum(NamedTuple):
     """One published value that the recomputation contradicts."""
 
     case_id: int

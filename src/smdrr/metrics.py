@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -36,8 +35,7 @@ class ProcessMetrics(NamedTuple):
     response: int
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """Per-process and aggregate metrics for one trace.
 
     Aggregates are exact rationals; decimal rendering happens only at the
@@ -60,9 +58,8 @@ class MetricsReport:
     def aggregates(self) -> Iterator[tuple[str, str | int]]:
         """(name, value) of each aggregate field, in field order: each
         Fraction as its format_decimal text, each count as an int."""
-        for field in fields(self)[2:]:
-            value = getattr(self, field.name)
-            yield field.name, format_decimal(value) if isinstance(value, Fraction) else value
+        for name, value in zip(self._fields[2:], self[2:]):
+            yield name, format_decimal(value) if isinstance(value, Fraction) else value
 
     def to_dict(self) -> dict:
         return {

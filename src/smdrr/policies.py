@@ -8,11 +8,10 @@ Fixed-quantum RR, FCFS and SJF serve as baselines.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from typing import Iterable, MutableSequence, Sequence
 
-from .workload import WorkloadError, _check_int, _parse_int
+from .workload import WorkloadError, _check_int, _parse_int, _remake
 
 _KINDS = ("smdrr", "rr", "fcfs", "sjf")
 
@@ -21,23 +20,24 @@ class PolicyError(ValueError):
     """Unknown policy spelling or bad policy parameters."""
 
 
-@dataclass(frozen=True)
-class PolicyConfig:
+class PolicyConfig(namedtuple("PolicyConfig", "kind quantum", defaults=(None,))):
     """A scheduling policy choice; only RR carries a parameter (its quantum)."""
 
-    kind: str
-    quantum: int | None = None
+    __slots__ = ()
+    _make = classmethod(_remake)  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise PolicyError(f"unknown policy kind: {self.kind!r}")
-        if self.kind == "rr":
+    def __new__(cls, *args, **kwargs) -> PolicyConfig:
+        config = super().__new__(cls, *args, **kwargs)
+        if config.kind not in _KINDS:
+            raise PolicyError(f"unknown policy kind: {config.kind!r}")
+        if config.kind == "rr":
             try:
-                _check_int(self.quantum, "quantum", 1)
+                _check_int(config.quantum, "quantum", 1)
             except WorkloadError:
                 raise PolicyError("rr requires a positive integer quantum, e.g. rr:20") from None
-        elif self.quantum is not None:
-            raise PolicyError(f"{self.kind} does not take a quantum")
+        elif config.quantum is not None:
+            raise PolicyError(f"{config.kind} does not take a quantum")
+        return config
 
     @property
     def label(self) -> str:

@@ -10,16 +10,17 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from typing import Sequence
 
 from .engine import Trace
 from .metrics import MetricsReport, format_decimal
 from .policies import PolicyConfig
 
-# ASCII scale: one character per 4 ms, widened when a pid or tick label
+# ASCII scale: one character per 4 ms, coarsened so that the makespan spans
+# at most MAX_ASCII_WIDTH characters, and widened when a pid or tick label
 # needs the room.  SVG scale: 4 horizontal units per ms, 40-unit lane.
 ASCII_MS_PER_CHAR = 4
+MAX_ASCII_WIDTH = 1000
 SVG_UNITS_PER_MS = 4
 SVG_LANE_HEIGHT = 40
 SVG_MARGIN = 10
@@ -35,17 +36,18 @@ _IDLE_FILL = "#cccccc"
 def render_gantt_ascii(trace: Trace) -> str:
     """One lane of labeled boxes, a tick line and a legend line.  Each box
     is at least as wide as its start tick, which sits under its opening bar."""
+    scale = max(ASCII_MS_PER_CHAR, -(-trace.makespan // MAX_ASCII_WIDTH))
     boxes, ticks = [], []
     for s in trace.segments:
         label = _IDLE_LABEL if s.occupant is None else s.occupant
         tick = str(s.start)
-        width = max(math.ceil((s.end - s.start) / ASCII_MS_PER_CHAR), len(label), len(tick))
+        width = max(-(-(s.end - s.start) // scale), len(label), len(tick))
         boxes.append(label.center(width))
         ticks.append(tick.ljust(width + 1))
     ticks.append(str(trace.makespan))
     legend = (
         f"legend: boxes are dispatches ({_IDLE_LABEL} = idle), ticks are ms; "
-        f"scale 1 char : {ASCII_MS_PER_CHAR} ms, widened to fit labels"
+        f"scale 1 char : {scale} ms, widened to fit labels"
     )
     return "\n".join(("|" + "|".join(boxes) + "|", "".join(ticks), legend))
 

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from typing import Iterable
 
 _INT_RE = re.compile(r"-?[0-9]+", re.ASCII)
 # Pids are labels in CSV cells, SVG text and the ASCII lane, so they hold
@@ -23,81 +24,82 @@ _MASK64 = (1 << 64) - 1
 MAX_PROCESSES = 1_000_000
 # RR and SMDRR segment cap: 0.75 GB of trace at 150 B a segment.
 MAX_SEGMENTS = 5_000_000
+# Arrival and burst cap, 10**12 ms (about 31.7 years): every remaining time
+# stays below 2**53, and a makespan of up to 9 * 10**6 processes below 2**63.
+MAX_TIME = 10**12
 
 
 class WorkloadError(ValueError):
     """Invalid workload data (bad field, duplicate pid, malformed input, segment cap)."""
 
 
-@dataclass(frozen=True)
-class ProcessSpec:
-    """One process: identifier, arrival time (ms) and burst time (ms)."""
+def _remake(cls, iterable):
+    """_make, and so _replace, through the record's own checking __new__."""
+    return cls(*iterable)
 
-    pid: str
-    arrival: int
-    burst: int
 
-    def __post_init__(self) -> None:
-        if isinstance(self.pid, str) and len(self.pid) > MAX_PID_LENGTH:
-            raise WorkloadError(f"pid has {len(self.pid)} characters, more than {MAX_PID_LENGTH}")
-        if not isinstance(self.pid, str) or not _PID_RE.fullmatch(self.pid):
-            raise WorkloadError("pid is empty" if self.pid == "" else
-                                f"pid {self.pid!r} does not match {_PID_RE.pattern}")
+class ProcessSpec(namedtuple("ProcessSpec", "pid arrival burst")):
+    """One process: identifier, arrival time (ms) and burst time (ms).  Its
+    fields, in order, are the workload files' columns and JSON keys."""
+
+    __slots__ = ()
+    _make = classmethod(_remake)  # so _replace checks too
+
+    def __new__(cls, pid: str, arrival: int, burst: int) -> ProcessSpec:
+        if isinstance(pid, str) and len(pid) > MAX_PID_LENGTH:
+            raise WorkloadError(f"pid has {len(pid)} characters, more than {MAX_PID_LENGTH}")
+        if not isinstance(pid, str) or not _PID_RE.fullmatch(pid):
+            raise WorkloadError("pid is empty" if pid == "" else
+                                f"pid {pid!r} does not match {_PID_RE.pattern}")
         try:
-            _check_int(self.arrival, "arrival", 0)
-            _check_int(self.burst, "burst", 1)
+            _check_int(arrival, "arrival", 0, MAX_TIME)
+            _check_int(burst, "burst", 1, MAX_TIME)
         except WorkloadError as exc:
-            raise WorkloadError(f"process {self.pid}: {exc}") from None
+            raise WorkloadError(f"process {pid}: {exc}") from None
+        return tuple.__new__(cls, (pid, arrival, burst))
 
 
-# The one list of process fields, in file column and JSON key order.
-_FIELDS = tuple(field.name for field in fields(ProcessSpec))
-_CSV_HEADER = ",".join(_FIELDS)
+_CSV_HEADER = ",".join(ProcessSpec._fields)
 
 
-@dataclass(frozen=True)
-class Workload:
+class Workload(namedtuple("Workload", "name processes")):
     """A named, ordered collection of processes.
 
     List order is the submission order and seeds every deterministic
     tie-break downstream.
     """
 
-    name: str
-    processes: tuple[ProcessSpec, ...]
+    __slots__ = ()
+    _make = classmethod(_remake)  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "processes", tuple(self.processes))
-        if not self.processes:
+    def __new__(cls, name: str, processes: Iterable[ProcessSpec]) -> Workload:
+        processes = tuple(processes)
+        if not processes:
             raise WorkloadError("workload has no processes")
         seen: set[str] = set()
-        for p in self.processes:
+        for p in processes:
             if p.pid in seen:
                 raise WorkloadError(f"duplicate pid {p.pid}")
             seen.add(p.pid)
-
-    def __len__(self) -> int:
-        return len(self.processes)
+        return tuple.__new__(cls, (name, processes))
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(namedtuple("GeneratorSpec", "count burst_min burst_max arrival_min "
+                               "arrival_max seed", defaults=(0, 0, 0))):
     """Parameters for the seeded uniform workload generator."""
 
-    count: int
-    burst_min: int
-    burst_max: int
-    arrival_min: int = 0
-    arrival_max: int = 0
-    seed: int = 0
+    __slots__ = ()
+    _make = classmethod(_remake)  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        _check_int(self.count, "count", 1, MAX_PROCESSES)
-        _check_int(self.burst_min, "burst_min", 1)
-        _check_int(self.burst_max, "burst_max", self.burst_min)
-        _check_int(self.arrival_min, "arrival_min", 0)
-        _check_int(self.arrival_max, "arrival_max", self.arrival_min)
-        _check_int(self.seed, "seed", 0, _MASK64)
+    def __new__(cls, *args, **kwargs) -> GeneratorSpec:
+        spec = super().__new__(cls, *args, **kwargs)
+        _check_int(spec.count, "count", 1, MAX_PROCESSES)
+        _check_int(spec.burst_min, "burst_min", 1)
+        _check_int(spec.burst_max, "burst_max", spec.burst_min, MAX_TIME)
+        _check_int(spec.arrival_min, "arrival_min", 0)
+        _check_int(spec.arrival_max, "arrival_max", spec.arrival_min, MAX_TIME)
+        _check_int(spec.seed, "seed", 0, _MASK64)
+        return spec
 
 
 # The one integer rule: text is read by _parse_int, values are checked by
@@ -155,8 +157,9 @@ def _parse_csv(text: str, name: str) -> Workload:
                 continue
             cells = line.split(",")
             where = f"line {lineno}"
-            if len(cells) != len(_FIELDS):
-                raise WorkloadError(f"{where}: expected {len(_FIELDS)} fields, got {len(cells)}")
+            if len(cells) != len(ProcessSpec._fields):
+                raise WorkloadError(f"{where}: expected {len(ProcessSpec._fields)} fields, "
+                                    f"got {len(cells)}")
             yield (where, cells[0].strip(), _parse_int(cells[1].strip(), "arrival", where),
                    _parse_int(cells[2].strip(), "burst", where))
 
@@ -181,10 +184,10 @@ def _parse_json(text: str) -> Workload:
             where = f"processes[{i}]"
             if not isinstance(row, dict):
                 raise WorkloadError(f"{where}: must be an object")
-            for field in _FIELDS:
+            for field in ProcessSpec._fields:
                 if field not in row:
                     raise WorkloadError(f"{where}: missing field {field!r}")
-            yield (where, *(row[field] for field in _FIELDS))
+            yield (where, *(row[field] for field in ProcessSpec._fields))
 
     return Workload(doc["name"], _processes(rows()))
 
@@ -208,12 +211,12 @@ def _processes(rows) -> tuple[ProcessSpec, ...]:
 def serialize_workload(w: Workload, format: str = "csv") -> str:
     """Render a workload as CSV or JSON text; parse_workload inverts it."""
     if format == "csv":
-        rows = [_FIELDS] + [[str(getattr(p, f)) for f in _FIELDS] for p in w.processes]
-        return "".join(",".join(row) + "\n" for row in rows)
+        rows = (ProcessSpec._fields, *w.processes)
+        return "".join(",".join(map(str, row)) + "\n" for row in rows)
     if format == "json":
         doc = {
             "name": w.name,
-            "processes": [{f: getattr(p, f) for f in _FIELDS} for p in w.processes],
+            "processes": [p._asdict() for p in w.processes],
         }
         return json.dumps(doc, indent=2) + "\n"
     raise ValueError(f"unknown workload format: {format!r}")

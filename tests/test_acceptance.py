@@ -146,7 +146,7 @@ def test_criterion_6_property_suite(fuzz_workloads):
     with criterion(6, f"property suite over {FUZZ_RUNS} random workloads per law"):
         for w in fuzz_workloads:
             triples = [(p.pid, p.arrival, p.burst) for p in w.processes]
-            mean_burst = Fraction(sum(p.burst for p in w.processes), len(w))
+            mean_burst = Fraction(sum(p.burst for p in w.processes), len(w.processes))
 
             smdrr_trace = simulate(w, SMDRR)
             rr_trace = simulate(w, RR20)
@@ -175,7 +175,7 @@ def test_criterion_6_property_suite(fuzz_workloads):
                 assert segments[offset].end - segments[offset].start == remainings[0]
                 offset += len(remainings)
 
-            # frozen dataclasses of ints/strs: equality is bit-identity
+            # tuple records of ints and strs: equality is bit-identity
             assert simulate(w, SMDRR) == smdrr_trace
             assert simulate(w, RR20) == rr_trace
 

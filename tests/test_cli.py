@@ -9,7 +9,7 @@ import smdrr.engine
 import smdrr.errata
 from goldens import EXPECTED_ERRATA
 from smdrr.cli import main
-from smdrr.workload import MAX_PROCESSES, MAX_SEGMENTS, parse_workload
+from smdrr.workload import MAX_PROCESSES, MAX_SEGMENTS, MAX_TIME, parse_workload
 
 
 def run_cli(capsys, *argv):
@@ -174,7 +174,7 @@ def test_generate_csv_all_zero_arrivals(capsys):
                            "--arrival", "0..0", "--seed", "7", "--format", "csv")
     assert code == 0
     w = parse_workload(out, "csv")
-    assert len(w) == 5
+    assert len(w.processes) == 5
     assert all(p.arrival == 0 for p in w.processes)
     assert all(10 <= p.burst <= 100 for p in w.processes)
 
@@ -285,6 +285,41 @@ def test_smdrr_beyond_the_segment_cap_is_one_error_line(monkeypatch, tmp_path, c
     assert code == 1
     assert out == ""
     assert err == "error: smdrr would dispatch more than 100 segments\n"
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("name,text,located", [
+    ("late.csv", f"pid,arrival,burst\nP1,{MAX_TIME + 1},4\n",
+     f"line 2: process P1: arrival must be <= {MAX_TIME}"),
+    ("long.json", json.dumps({"name": "w", "processes": [
+        {"pid": "P1", "arrival": 0, "burst": MAX_TIME + 1}]}),
+     f"processes[0]: process P1: burst must be <= {MAX_TIME}"),
+], ids=["csv-arrival", "json-burst"])
+def test_a_time_above_the_cap_is_one_located_error_line(tmp_path, capsys, name, text, located):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    target = tmp_path / "x.out"
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli(capsys, "run", "--workload", str(path), "--policy", "smdrr",
+                                 "--format", fmt, "--out", str(target))
+        assert (code, out, err) == (1, "", f"error: {located}\n")
+        assert not target.exists()
+
+
+@pytest.mark.parametrize("option,text,field", [
+    ("--burst", f"1..{10**40}", "burst_max"),
+    ("--arrival", f"0..{MAX_TIME + 1}", "arrival_max"),
+])
+def test_a_generated_time_above_the_cap_is_a_usage_error(tmp_path, capsys, option, text, field):
+    argv = ["run", "--n", "3", "--burst", "1..5", "--policy", "smdrr", "--format", "csv"]
+    target = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + [option, text, "--out", str(target)])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"smdrr run: error: {field} must be <= {MAX_TIME}"]
     assert not target.exists()
 
 

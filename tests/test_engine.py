@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import smdrr.engine
@@ -9,10 +11,12 @@ from smdrr.engine import (
     Trace,
     simulate,
 )
-from smdrr.metrics import ProcessMetrics
+from smdrr.errata import Erratum
+from smdrr.metrics import ProcessMetrics, compute_metrics
 from smdrr.policies import PolicyConfig
 from smdrr.workload import (
     MAX_SEGMENTS,
+    MAX_TIME,
     GeneratorSpec,
     ProcessSpec,
     Workload,
@@ -146,19 +150,54 @@ def test_outcomes_preserve_submission_order():
     assert [p.pid for p in trace.processes] == ["P1", "P2", "P3", "P4"]
 
 
+CASE1_SMDRR = simulate(paper_case(1), SMDRR)
+
+
 @pytest.mark.parametrize("record", [
     Segment("P1", 3, 9),
     ProcessOutcome("P1", 0, 5, 2, 9),
     ProcessMetrics("P1", 9, 4, 2),
+    ProcessSpec("P1", 0, 5),
+    Workload("w", (ProcessSpec("P1", 0, 5), ProcessSpec("P2", 1, 3))),
+    GeneratorSpec(5, 1, 9),
+    PolicyConfig("rr", 20),
+    CASE1_SMDRR,
+    compute_metrics(CASE1_SMDRR),
+    Erratum(1, "SMDRR", "tat", "124.5", "124.25"),
 ])
 def test_records_are_immutable_values(record):
+    assert isinstance(record, tuple) and not hasattr(record, "__dict__")
     twin = type(record)(*record)
     assert twin == record and hash(twin) == hash(record)
     assert record == tuple(record)
-    assert type(record)(*record[:-1], record[-1] + 1) != record
+    last = record[-1]  # a tuple or text loses its end, a number grows by one
+    changed = last[:-1] if isinstance(last, (tuple, str)) else last + 1
+    assert type(record)(*record[:-1], changed) != record
     for field in record._fields:
         with pytest.raises(AttributeError):
             setattr(record, field, 0)
+
+
+@pytest.mark.parametrize("record, field, bad", [
+    (ProcessSpec("P1", 0, 5), "burst", 0),
+    (ProcessSpec("P1", 0, 5), "pid", "a,b"),
+    (ProcessSpec("P1", 0, 5), "arrival", MAX_TIME + 1),
+    (Workload("w", (ProcessSpec("P1", 0, 5),)), "processes", ()),
+    (Workload("w", (ProcessSpec("P1", 0, 5),)), "processes", (ProcessSpec("P1", 0, 5),) * 2),
+    (GeneratorSpec(5, 1, 9), "burst_max", 0),
+    (GeneratorSpec(5, 1, 9), "seed", 1.0),
+    (PolicyConfig("rr", 20), "quantum", 0),
+    (PolicyConfig("smdrr"), "kind", "lottery"),
+])
+def test_replace_and_make_check_like_the_constructor(record, field, bad):
+    values = record._asdict() | {field: bad}
+    with pytest.raises(ValueError) as built:
+        type(record)(**values)
+    expected = f"^{re.escape(str(built.value))}$"
+    with pytest.raises(type(built.value), match=expected):
+        record._replace(**{field: bad})
+    with pytest.raises(type(built.value), match=expected):
+        type(record)._make(values.values())
 
 
 def test_rr_policy_spelling_recorded_on_trace():

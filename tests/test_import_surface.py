@@ -6,11 +6,13 @@ updates EXPECTED and says why.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "smdrr"
 EXPECTED = {
-    "__future__", "argparse", "collections", "csv", "dataclasses", "enum", "fractions",
+    "__future__", "argparse", "collections", "csv", "enum", "fractions",
     "heapq", "io", "json", "math", "pathlib", "re", "sys", "typing",
 }
 
@@ -29,3 +31,19 @@ def imported_modules() -> set[str]:
 
 def test_package_imports_only_the_pinned_modules():
     assert imported_modules() == EXPECTED
+
+
+# What the benchmark's setup_s probe runs, in a fresh interpreter that
+# ignores PYTHON* variables and user site-packages.
+STARTUP = ("import sys; sys.path.insert(0, sys.argv[1]); import smdrr.cli; "
+           "smdrr.cli.build_parser(); print(*sorted(sys.modules))")
+
+
+def test_startup_loads_neither_dataclasses_nor_inspect():
+    # The AST check above sees only direct imports; a standard module can
+    # pull these in transitively.
+    done = subprocess.run([sys.executable, "-E", "-s", "-c", STARTUP, str(SRC.parent)],
+                          capture_output=True, text=True, check=True, timeout=60)
+    loaded = set(done.stdout.split())
+    assert "smdrr.cli" in loaded
+    assert {"dataclasses", "inspect"} & loaded == set()

@@ -83,7 +83,7 @@ def test_relabelling_pids_relabels_the_trace(spelling):
     policy = parse_policy(spelling)
     for workload, rng in random_workloads(f"relabel-{spelling}"):
         # new names in a random order, so a pid-based tie-break would show
-        names = [f"Q{k}" for k in rng.sample(range(100), len(workload))]
+        names = [f"Q{k}" for k in rng.sample(range(100), len(workload.processes))]
         rename = {p.pid: name for p, name in zip(workload.processes, names)}
         base = simulate(workload, policy)
         assert_transformed(base, simulate(transform(workload, 0, rename), policy), 0, rename)

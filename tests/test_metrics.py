@@ -89,7 +89,7 @@ def test_awt_equals_att_minus_mean_burst():
     for convention in Convention:
         for case_id in (1, 2, 3, 4):
             w = paper_case(case_id)
-            mean_burst = Fraction(sum(p.burst for p in w.processes), len(w))
+            mean_burst = Fraction(sum(p.burst for p in w.processes), len(w.processes))
             for config in (RR20, SMDRR):
                 report = compute_metrics(simulate(w, config), convention)
                 assert report.awt == report.att - mean_burst
@@ -108,12 +108,12 @@ def test_fcfs_closed_form_on_zero_arrivals():
     w = paper_case(2)
     trace = simulate(w, PolicyConfig("fcfs"))
     report = compute_metrics(trace, Convention.STANDARD)
-    assert report.cs == len(w) - 1
+    assert report.cs == len(w.processes) - 1
     prefix, total = 0, 0
     for p in w.processes:
         prefix += p.burst
         total += prefix
-    assert report.att == Fraction(total, len(w))
+    assert report.att == Fraction(total, len(w.processes))
 
 
 def test_throughput_utilization_makespan():

@@ -10,6 +10,7 @@ from smdrr.engine import simulate
 from smdrr.metrics import Convention, compute_metrics
 from smdrr.policies import PolicyConfig, parse_policy
 from smdrr.report import (
+    MAX_ASCII_WIDTH,
     SVG_UNITS_PER_MS,
     comparison_report,
     render_gantt_ascii,
@@ -58,6 +59,19 @@ def test_ascii_gantt_idle_box():
 def test_ascii_gantt_ends_with_legend():
     chart = render_gantt_ascii(simulate(paper_case(2), RR20))
     assert chart.splitlines()[-1].startswith("legend:")
+
+
+@pytest.mark.parametrize("burst,scale", [
+    (4 * MAX_ASCII_WIDTH, 4),
+    (4 * MAX_ASCII_WIDTH + 1, 5),
+    (4 * 10**9, 4 * 10**6),  # 10**9 characters at 4 ms each
+])
+def test_ascii_scale_coarsens_past_the_width_cap(burst, scale):
+    chart = render_gantt_ascii(simulate(Workload("w", (ProcessSpec("P1", 0, burst),)), SMDRR))
+    lane, ticks, legend = chart.splitlines()
+    assert len(lane) == 2 + -(-burst // scale) <= MAX_ASCII_WIDTH + 2
+    assert ticks.split() == ["0", str(burst)]
+    assert f"scale 1 char : {scale} ms," in legend
 
 
 @given(st.lists(st.tuples(st.integers(0, 400), st.integers(1, 120), st.integers(0, 12)),

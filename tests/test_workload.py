@@ -227,7 +227,7 @@ def test_generate_degenerate_ranges():
     spec = GeneratorSpec(count=5, burst_min=7, burst_max=7,
                          arrival_min=0, arrival_max=0, seed=1)
     w = generate_workload(spec)
-    assert len(w) == 5
+    assert len(w.processes) == 5
     assert all(p.burst == 7 for p in w.processes)
     assert all(p.arrival == 0 for p in w.processes)
 
