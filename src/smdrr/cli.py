@@ -189,11 +189,11 @@ def _trace_json(trace: Trace) -> Iterator[str]:
     yield (f'{{{I1}"workload": {json_quote(trace.workload_name)},'
            f'{I1}"policy": {json_quote(trace.policy)},{I1}"segments": ')
     yield json_list([
-        f'{{{I3}"idle": true,{I3}"start": {s.start},{I3}"end": {s.end}{REC_END}'
-        if s.occupant is None else
-        f'{{{I3}"pid": {json_quote(s.occupant)},{I3}"start": {s.start},'
-        f'{I3}"end": {s.end}{REC_END}'
-        for s in trace.segments
+        f'{{{I3}"idle": true,{I3}"start": {start},{I3}"end": {end}{REC_END}'
+        if occupant is None else
+        f'{{{I3}"pid": {json_quote(occupant)},{I3}"start": {start},'
+        f'{I3}"end": {end}{REC_END}'
+        for occupant, start, end in trace.intervals()
     ])
     yield f',{I1}"processes": '
     yield json_list([

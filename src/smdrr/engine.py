@@ -2,12 +2,15 @@
 
 The clock is a single monotone integer starting at the earliest arrival.
 Traces are immutable and contiguous: every segment starts where the
-previous one ended, with idle segments filling any CPU gaps.
+previous one ended, with idle segments filling any CPU gaps, so a trace
+stores each segment's occupant and end, and only the first start.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator, Sequence
+from itertools import chain
 from typing import NamedTuple
 
 # Not called here: smdrr.engine.rr_requeue_position is a perfbench LAYERS target.
@@ -32,36 +35,67 @@ class ProcessOutcome(NamedTuple):
     completion: int
 
 
-class Trace(NamedTuple):
-    """Simulation output: segments plus per-process outcomes.
+class Segments(Sequence):
+    """A trace's segments as a read-only Sequence of Segment for library
+    callers: len builds nothing, an index or an iteration step builds one
+    Segment, and two views are equal when their traces' columns are."""
 
-    quanta holds the quantum chosen at each SMDRR cycle (a single entry
-    for fixed-quantum RR); it is None for policies without quanta.
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: Trace) -> None:
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.ends)
+
+    def __getitem__(self, index: int) -> Segment:
+        _, _, start, occupants, ends, *_ = self._trace
+        index = range(len(ends))[index]  # IndexError out of range, negatives from the end
+        return Segment(occupants[index], ends[index - 1] if index else start, ends[index])
+
+    def __iter__(self) -> Iterator[Segment]:
+        return map(Segment._make, self._trace.intervals())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Segments):
+            return NotImplemented
+        return self._trace[2:5] == other._trace[2:5]  # start, occupants, ends
+
+
+class Trace(NamedTuple):
+    """Simulation output: segments as columns, plus per-process outcomes.
+
+    Segment k runs occupants[k] (a pid, or None for idle) from ends[k - 1]
+    (start for k = 0) to ends[k].  quanta holds the quantum chosen at each
+    SMDRR cycle (one entry for fixed-quantum RR), or None without quanta.
     """
 
     workload_name: str
     policy: str
-    segments: tuple[Segment, ...]
+    start: int
+    occupants: tuple[str | None, ...]
+    ends: tuple[int, ...]
     processes: tuple[ProcessOutcome, ...]
     quanta: tuple[int, ...] | None = None
 
     @property
+    def segments(self) -> Segments:
+        return Segments(self)
+
+    @property
     def makespan(self) -> int:
-        return self.segments[-1].end
+        return self.ends[-1]
+
+    def intervals(self) -> Iterator[tuple[str | None, int, int]]:
+        """Each segment as a plain (occupant, start, end) tuple."""
+        return zip(self.occupants, chain((self.start,), self.ends), self.ends)
 
     def to_dict(self) -> dict:
-        segments = []
-        for s in self.segments:
-            if s.occupant is None:
-                segments.append({"idle": True, "start": s.start, "end": s.end})
-            else:
-                segments.append({"pid": s.occupant, "start": s.start, "end": s.end})
-        doc = {
-            "workload": self.workload_name,
-            "policy": self.policy,
-            "segments": segments,
-            "processes": [p._asdict() for p in self.processes],
-        }
+        segments = [{"idle": True, "start": start, "end": end} if occupant is None else
+                    {"pid": occupant, "start": start, "end": end}
+                    for occupant, start, end in self.intervals()]
+        doc = {"workload": self.workload_name, "policy": self.policy,
+               "segments": segments, "processes": [p._asdict() for p in self.processes]}
         if self.quanta is not None:
             doc["quanta"] = list(self.quanta)
         return doc
@@ -131,15 +165,17 @@ def simulate(workload: Workload, policy: PolicyConfig) -> Trace:
     else:
         admit = ready.append
     cursor, total = 0, len(pending)
-    now = pending[0].arrival
-    segments: list[Segment] = []
+    now = start = pending[0].arrival
+    occupants, ends = [], []  # the trace's columns: a pid or None, and an end, per segment
+    occupy, end_at = occupants.append, ends.append
     while cursor < total or ready:
         while cursor < total and pending[cursor].arrival <= now:
             admit(pending[cursor])
             cursor += 1
         if not ready:
             nxt = pending[cursor].arrival
-            segments.append(Segment(None, now, nxt))
+            occupy(None)
+            end_at(nxt)
             now = nxt
             continue
         if sjf:
@@ -148,7 +184,7 @@ def simulate(workload: Workload, policy: PolicyConfig) -> Trace:
             if smdrr:
                 batch, quantum = plan_cycle_smdrr(ready)
                 quanta.append(quantum)
-                if len(segments) + len(batch) > MAX_SEGMENTS:
+                if len(ends) + len(batch) > MAX_SEGMENTS:
                     raise WorkloadError(f"smdrr would dispatch more than {MAX_SEGMENTS} segments")
             else:
                 batch = ready.copy()
@@ -158,8 +194,9 @@ def simulate(workload: Workload, policy: PolicyConfig) -> Trace:
                 proc.first_start = now
             remaining = proc.remaining
             run = quantum if quantum < remaining else remaining
-            segments.append(Segment(proc.pid, now, now + run))
+            occupy(proc.pid)
             now += run
+            end_at(now)
             if run == remaining:
                 proc.completion = now
                 continue
@@ -174,10 +211,5 @@ def simulate(workload: Workload, policy: PolicyConfig) -> Trace:
         ProcessOutcome(p.pid, p.arrival, p.burst, p.first_start, p.completion)
         for p in procs
     )
-    return Trace(
-        workload_name=workload.name,
-        policy=policy.spelling(),
-        segments=tuple(segments),
-        processes=outcomes,
-        quanta=tuple(quanta) if quanta is not None else None,
-    )
+    return Trace(workload.name, policy.spelling(), start, tuple(occupants), tuple(ends),
+                 outcomes, tuple(quanta) if quanta is not None else None)

@@ -83,19 +83,19 @@ def compute_metrics(trace: Trace, convention: Convention = Convention.STANDARD) 
         waiting_sum += waiting
         response_sum += response
     n = len(per_process)
-    makespan = trace.makespan
-    idle = [s.end - s.start for s in trace.segments if s.occupant is None]
-    if len(idle) == len(trace.segments):
+    makespan, idle = trace.makespan, trace.occupants.count(None)
+    if idle == len(trace.ends):
         raise ValueError("trace has no process segments")
+    idle_time = idle and sum(e - s for o, s, e in trace.intervals() if o is None)
     return MetricsReport(
         convention=convention,
         processes=tuple(per_process),
         att=Fraction(turnaround_sum, n),
         awt=Fraction(waiting_sum, n),
-        cs=len(trace.segments) - len(idle) - 1,
+        cs=len(trace.ends) - idle - 1,
         avg_response=Fraction(response_sum, n),
         makespan=makespan,
-        cpu_utilization=Fraction(makespan - sum(idle), makespan),
+        cpu_utilization=Fraction(makespan - idle_time, makespan),
         throughput=Fraction(n, makespan),
     )
 

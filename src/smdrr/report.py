@@ -38,10 +38,10 @@ def render_gantt_ascii(trace: Trace) -> str:
     is at least as wide as its start tick, which sits under its opening bar."""
     scale = max(ASCII_MS_PER_CHAR, -(-trace.makespan // MAX_ASCII_WIDTH))
     boxes, ticks = [], []
-    for s in trace.segments:
-        label = _IDLE_LABEL if s.occupant is None else s.occupant
-        tick = str(s.start)
-        width = max(-(-(s.end - s.start) // scale), len(label), len(tick))
+    for occupant, start, end in trace.intervals():
+        label = _IDLE_LABEL if occupant is None else occupant
+        tick = str(start)
+        width = max(-(-(end - start) // scale), len(label), len(tick))
         boxes.append(label.center(width))
         ticks.append(tick.ljust(width + 1))
     ticks.append(str(trace.makespan))
@@ -66,21 +66,20 @@ def render_gantt_svg(trace: Trace) -> str:
     rect_y = f'" y="{SVG_MARGIN}" width="'
     rect_fill = f'" height="{SVG_LANE_HEIGHT}" fill="'
     label_y = f'" y="{SVG_MARGIN + SVG_LANE_HEIGHT // 2 + 4}" font-size="12" text-anchor="middle">'
-    for s in trace.segments:
-        label = s.occupant
+    for label, start, end in trace.intervals():
         if label is None:
             fill, label = _IDLE_FILL, _IDLE_LABEL
         else:
             fill = fills.setdefault(label, _PALETTE[len(fills) % len(_PALETTE)])
         # midpoint in svg units is 2*(start+end), always an integer
         parts.append(
-            f'<rect x="{margin + scale * s.start}{rect_y}{scale * (s.end - s.start)}'
+            f'<rect x="{margin + scale * start}{rect_y}{scale * (end - start)}'
             f'{rect_fill}{fill}" stroke="#333"/>\n'
-            f'<text x="{margin + 2 * (s.start + s.end)}{label_y}{label}</text>'
+            f'<text x="{margin + 2 * (start + end)}{label_y}{label}</text>'
         )
     tick_y = f'" y="{SVG_MARGIN + SVG_LANE_HEIGHT + 12}" font-size="10" text-anchor="middle">'
-    boundaries = [trace.segments[0].start] + [s.end for s in trace.segments]
-    parts += [f'<text x="{margin + scale * value}{tick_y}{value}</text>' for value in boundaries]
+    parts += [f'<text x="{margin + scale * value}{tick_y}{value}</text>'
+              for value in (trace.start, *trace.ends)]
     parts.append("</svg>\n")
     return "\n".join(parts)
 

@@ -20,9 +20,9 @@ _PID_RE = re.compile(r"[_.:-]*[A-Za-z0-9][A-Za-z0-9_.:-]*")
 # Every output format repeats a pid once per segment, so its length is capped.
 MAX_PID_LENGTH = 64
 _MASK64 = (1 << 64) - 1
-# Generator size cap: a hostile --n fails at once instead of exhausting memory.
+# Process cap of --n and of a file: a hostile size fails at once instead of exhausting memory.
 MAX_PROCESSES = 1_000_000
-# RR and SMDRR segment cap: 0.75 GB of trace at 150 B a segment.
+# RR and SMDRR segment cap: 0.24 GB of trace at 48 B a segment.
 MAX_SEGMENTS = 5_000_000
 # Arrival and burst cap, 10**12 ms (about 31.7 years): every remaining time
 # stays below 2**53, and a makespan of up to 9 * 10**6 processes below 2**63.
@@ -76,11 +76,12 @@ class Workload(namedtuple("Workload", "name processes")):
         processes = tuple(processes)
         if not processes:
             raise WorkloadError("workload has no processes")
-        seen: set[str] = set()
-        for p in processes:
-            if p.pid in seen:
-                raise WorkloadError(f"duplicate pid {p.pid}")
-            seen.add(p.pid)
+        if len({p.pid for p in processes}) != len(processes):  # then name the first repeat
+            seen: set[str] = set()
+            for p in processes:
+                if p.pid in seen:
+                    raise WorkloadError(f"duplicate pid {p.pid}")
+                seen.add(p.pid)
         return tuple.__new__(cls, (name, processes))
 
 
@@ -194,10 +195,12 @@ def _parse_json(text: str) -> Workload:
 
 def _processes(rows) -> tuple[ProcessSpec, ...]:
     """One ProcessSpec per (where, pid, arrival, burst) row, each error
-    prefixed by its row's location, duplicate pids included."""
+    prefixed by its row's location, duplicate pids and the process cap included."""
     processes = []
     seen: set[str] = set()
     for where, pid, arrival, burst in rows:
+        if len(processes) == MAX_PROCESSES:
+            raise WorkloadError(f"{where}: more than {MAX_PROCESSES} processes")
         try:
             processes.append(ProcessSpec(pid, arrival, burst))
         except WorkloadError as exc:

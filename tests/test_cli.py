@@ -7,6 +7,7 @@ import pytest
 import smdrr.cli
 import smdrr.engine
 import smdrr.errata
+import smdrr.workload
 from goldens import EXPECTED_ERRATA
 from smdrr.cli import main
 from smdrr.workload import MAX_PROCESSES, MAX_SEGMENTS, MAX_TIME, parse_workload
@@ -285,6 +286,24 @@ def test_smdrr_beyond_the_segment_cap_is_one_error_line(monkeypatch, tmp_path, c
     assert code == 1
     assert out == ""
     assert err == "error: smdrr would dispatch more than 100 segments\n"
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("name,rows,located", [
+    ("many.csv", "pid,arrival,burst\n" + "".join(f"P{i},0,1\n" for i in range(5)),
+     "line 5: more than 3 processes"),
+    ("many.json", json.dumps({"name": "w", "processes": [
+        {"pid": f"P{i}", "arrival": 0, "burst": 1} for i in range(5)]}),
+     "processes[3]: more than 3 processes"),
+], ids=["csv", "json"])
+def test_a_file_over_the_process_cap_is_one_located_error_line(monkeypatch, tmp_path, capsys,
+                                                              name, rows, located):
+    monkeypatch.setattr(smdrr.workload, "MAX_PROCESSES", 3)
+    path, target = tmp_path / name, tmp_path / "out.json"
+    path.write_text(rows, encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--workload", str(path), "--policy", "fcfs",
+                             "--format", "json", "--out", str(target))
+    assert (code, out, err) == (1, "", f"error: {located}\n")
     assert not target.exists()
 
 

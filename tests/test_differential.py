@@ -18,7 +18,7 @@ import oracle
 from smdrr.engine import simulate
 from test_acceptance import assert_conserved_and_contiguous
 from smdrr.policies import parse_policy
-from smdrr.workload import ProcessSpec, Workload
+from smdrr.workload import ProcessSpec, Workload, paper_case
 from test_metamorphic import assert_transformed, transform
 
 POLICIES = ("smdrr", "rr:20", "rr:3", "fcfs", "sjf")
@@ -112,3 +112,26 @@ def test_engine_follows_oracle_on_every_small_workload():
             assert_transformed(trace, simulate(moved, config), SMALL_SHIFT, rename)
         count += 1
     assert count == 6174
+
+
+def assert_columns_ordered(trace):
+    assert len(trace.occupants) == len(trace.ends) > 0
+    assert trace.start < trace.ends[0]
+    assert all(a < b for a, b in zip(trace.ends, trace.ends[1:]))
+
+
+@pytest.mark.parametrize("case_id", (1, 2, 3, 4))
+def test_paper_case_columns_are_ordered(case_id):
+    for spelling in POLICIES:
+        assert_columns_ordered(simulate(paper_case(case_id), parse_policy(spelling)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("burst", [(1, 1000), (1, 5)], ids=["burst1-1000", "burst1-5"])
+@pytest.mark.parametrize("spread", [0, 0.5], ids=["arrive-at-0", "arrive-spread"])
+def test_columns_are_ordered_at_size(spread, burst, seed):
+    rng = random.Random(f"{spread}-{burst}-{seed}")
+    triples = random_triples(rng, 300, burst, spread)
+    workload = Workload("diff", tuple(ProcessSpec(*t) for t in triples))
+    for spelling in POLICIES:
+        assert_columns_ordered(simulate(workload, parse_policy(spelling)))

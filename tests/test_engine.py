@@ -1,7 +1,9 @@
 import re
+import tracemalloc
 
 import pytest
 
+import oracle
 import smdrr.engine
 
 from goldens import RR_SEGMENTS, SMDRR_QUANTA, SMDRR_SEGMENTS
@@ -251,3 +253,48 @@ def test_smdrr_wide_bursts_stop_at_the_cap(monkeypatch):
     monkeypatch.setattr(smdrr.engine, "MAX_SEGMENTS", 100)
     with pytest.raises(WorkloadError, match="^smdrr would dispatch more than 100 segments$"):
         simulate(w, SMDRR)
+
+
+def test_segments_view_reads_the_columns():
+    trace = simulate(Workload("gap", (ProcessSpec("P1", 0, 2), ProcessSpec("P2", 10, 3))),
+                     SMDRR)
+    assert (trace.start, trace.occupants, trace.ends) == (0, ("P1", None, "P2"), (2, 10, 13))
+    view = trace.segments
+    assert len(view) == 3
+    assert view[0] == Segment("P1", 0, 2) and type(view[0]) is Segment
+    assert view[1] == Segment(None, 2, 10) and view[-2] == view[1]
+    assert view[-1] == Segment("P2", 10, 13) and view[-3] == view[0]
+    for index in (3, -4):
+        with pytest.raises(IndexError):
+            view[index]
+    assert list(view) == oracle.smdrr_trace([("P1", 0, 2), ("P2", 10, 3)])[0]
+    assert list(reversed(view)) == list(view)[::-1]
+    assert view.index(Segment(None, 2, 10)) == 1 and Segment("P2", 10, 13) in view
+
+
+def test_segments_views_are_equal_when_their_columns_are():
+    trace = simulate(paper_case(4), SMDRR)
+    assert trace.segments == simulate(paper_case(4), SMDRR).segments
+    assert trace.segments != simulate(paper_case(4), RR20).segments
+    assert trace.segments == trace._replace(workload_name="other").segments
+    assert trace.segments != trace._replace(start=trace.start + 1).segments
+    assert trace.segments != list(trace.segments)  # a view equals only a view
+    assert hash(trace) == hash(simulate(paper_case(4), SMDRR))
+    assert not hasattr(trace, "__dict__") and not hasattr(trace.segments, "__dict__")
+
+
+def test_trace_retains_under_64_bytes_a_segment():
+    # Two processes of 50 000 ms under rr:1 alternate for 10**5 segments.
+    w = Workload("w", (ProcessSpec("P1", 0, 50_000), ProcessSpec("P2", 0, 50_000)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = simulate(w, PolicyConfig("rr", 1))
+        retained = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        assert len(trace.segments) == 100_000
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained / len(trace.ends) <= 64
+    assert peak - current < 1000  # len of the view builds no segment list

@@ -13,7 +13,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "smdrr"
 EXPECTED = {
     "__future__", "argparse", "collections", "csv", "enum", "fractions",
-    "heapq", "io", "json", "math", "pathlib", "re", "sys", "typing",
+    "heapq", "io", "itertools", "json", "math", "pathlib", "re", "sys", "typing",
 }
 
 

@@ -5,6 +5,8 @@ import string
 import pytest
 from hypothesis import given, strategies as st
 
+import smdrr.workload
+
 from smdrr.workload import (
     MAX_PID_LENGTH,
     MAX_PROCESSES,
@@ -284,3 +286,30 @@ def test_paper_case_unknown_id():
     for case_id in (5, 0, True, 1.0, "1"):
         with pytest.raises(WorkloadError, match=f"^unknown case id: {case_id!r} "):
             paper_case(case_id)
+
+
+@pytest.mark.parametrize("pids, first", [
+    (("A", "B", "B", "A"), "B"),
+    (("A", "B", "A", "B"), "A"),
+])
+def test_duplicate_pid_error_names_the_first_repeat(pids, first):
+    processes = tuple(ProcessSpec(pid, 0, 1) for pid in pids)
+    with pytest.raises(WorkloadError, match=f"^duplicate pid {first}$"):
+        Workload("dup", processes)
+    # the third row, on line 4, repeats a pid in both orders
+    text = "pid,arrival,burst\n" + "".join(f"{pid},0,1\n" for pid in pids)
+    with pytest.raises(WorkloadError, match=f"^line 4: duplicate pid {first}$"):
+        parse_workload(text, "csv")
+
+
+def test_process_cap_is_inclusive_for_parsed_files(monkeypatch):
+    monkeypatch.setattr(smdrr.workload, "MAX_PROCESSES", 3)
+    rows = [{"pid": f"P{i}", "arrival": 0, "burst": 1} for i in range(4)]
+    assert len(parse_workload(json.dumps({"name": "w", "processes": rows[:3]}),
+                              "json").processes) == 3
+    with pytest.raises(WorkloadError, match=r"^processes\[3\]: more than 3 processes$"):
+        parse_workload(json.dumps({"name": "w", "processes": rows}), "json")
+    csv_text = "pid,arrival,burst\n" + "".join(f"P{i},0,1\n" for i in range(3))
+    assert len(parse_workload(csv_text, "csv").processes) == 3
+    with pytest.raises(WorkloadError, match="^line 5: more than 3 processes$"):
+        parse_workload(csv_text + "P3,0,1\n", "csv")
