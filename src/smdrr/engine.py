@@ -38,7 +38,8 @@ class ProcessOutcome(NamedTuple):
 class Segments(Sequence):
     """A trace's segments as a read-only Sequence of Segment for library
     callers: len builds nothing, an index or an iteration step builds one
-    Segment, and two views are equal when their traces' columns are."""
+    Segment, a slice builds a tuple of the selected ones, and two views
+    are equal when their traces' columns are."""
 
     __slots__ = ("_trace",)
 
@@ -48,10 +49,12 @@ class Segments(Sequence):
     def __len__(self) -> int:
         return len(self._trace.ends)
 
-    def __getitem__(self, index: int) -> Segment:
+    def __getitem__(self, index: int | slice) -> Segment | tuple[Segment, ...]:
         _, _, start, occupants, ends, *_ = self._trace
-        index = range(len(ends))[index]  # IndexError out of range, negatives from the end
-        return Segment(occupants[index], ends[index - 1] if index else start, ends[index])
+        picked = range(len(ends))[index]  # IndexError out of range, negatives from the end
+        if isinstance(index, slice):  # builds the selected segments only
+            return tuple(map(self.__getitem__, picked))
+        return Segment(occupants[picked], ends[picked - 1] if picked else start, ends[picked])
 
     def __iter__(self) -> Iterator[Segment]:
         return map(Segment._make, self._trace.intervals())
@@ -101,39 +104,23 @@ class Trace(NamedTuple):
         return doc
 
 
-class _Proc:
-    """Mutable per-process simulation state.
-
-    It carries the fields plan_cycle_smdrr reads from a ready process
-    (pid, remaining, arrival, submission_index), so every ready list
-    holds these records and SMDRR hands them to the planner directly.
-    """
-
-    __slots__ = ("pid", "arrival", "burst", "submission_index", "remaining",
-                 "first_start", "completion")
-
-    def __init__(self, pid: str, arrival: int, burst: int, submission_index: int) -> None:
-        self.pid = pid
-        self.arrival = arrival
-        self.burst = burst
-        self.submission_index = submission_index
-        self.remaining = burst
-        self.first_start: int | None = None
-        self.completion: int | None = None
-
-
 def simulate(workload: Workload, policy: PolicyConfig) -> Trace:
     """Run one policy over one workload and return its trace.
 
+    A process's rank is its place in one stable sort on arrival, that is,
+    in (arrival, submission index) order.  The loop keeps every
+    per-process field in a list indexed by rank, and every ordering key
+    below ends on the rank, so this sort is the only tie rule.
+
     One loop serves every policy.  It owns the clock, a cursor over the
-    arrival-sorted processes and the idle segments, and runs rounds over
-    a snapshot of the ready list; survivors and new arrivals queue behind
-    the current round, which is round robin's FIFO order.  The policies
-    differ in two ways only:
+    ranks and the idle segments, and runs rounds over a snapshot of the
+    ready list; survivors and new arrivals queue behind the current
+    round, which is round robin's FIFO order.  The policies differ in two
+    ways only:
 
     - the round: SMDRR takes plan_cycle_smdrr's order, RR and FCFS the
-      whole ready list, SJF the one process popped from a heap keyed on
-      (burst, arrival, submission index);
+      whole ready list, SJF the one rank popped from a heap keyed on
+      (burst, rank);
     - the slice: SMDRR's cycle quantum, RR's fixed quantum, and for FCFS
       and SJF the longest burst, so that every process runs to completion.
 
@@ -145,71 +132,75 @@ def simulate(workload: Workload, policy: PolicyConfig) -> Trace:
 
     RR (up front) and SMDRR (per cycle) raise WorkloadError past MAX_SEGMENTS.
     """
-    procs = [
-        _Proc(p.pid, p.arrival, p.burst, i)
-        for i, p in enumerate(workload.processes)
-    ]
-    # A stable sort of submission-ordered procs: arrival ties keep that order.
-    pending = sorted(procs, key=lambda p: p.arrival)
+    specs = workload.processes
+    total = len(specs)
+    # order[rank] is the submission index of the process with that rank.
+    order = sorted(range(total), key=[p.arrival for p in specs].__getitem__)
+    ranked = [specs[i] for i in order]
+    pids = [p.pid for p in ranked]
+    arrival = [p.arrival for p in ranked]
+    remaining = [p.burst for p in ranked]
+    first_start, completion = [None] * total, [None] * total
     kind = policy.kind
     smdrr, sjf, rr = kind == "smdrr", kind == "sjf", kind == "rr"
-    quantum = policy.quantum or max(p.burst for p in procs)
-    if rr and (count := sum(-(-p.burst // quantum) for p in procs)) > MAX_SEGMENTS:
+    quantum = policy.quantum or max(remaining)
+    if rr and (count := sum(-(-burst // quantum) for burst in remaining)) > MAX_SEGMENTS:
         raise WorkloadError(f"{policy.spelling()} would dispatch {count} segments, "
                             f"more than the cap of {MAX_SEGMENTS}")
     quanta: list[int] | None = [] if smdrr else [quantum] if rr else None
-    ready: list = []  # SJF's is a heap
+    ready: list = []  # ranks; SJF's is a heap of (burst, rank)
     if sjf:
-        def admit(p: _Proc) -> None:
-            heapq.heappush(ready, (p.burst, p.arrival, p.submission_index, p))
+        def admit(rank: int) -> None:
+            # SJF never preempts, so an arrival's remaining time is its burst.
+            heapq.heappush(ready, (remaining[rank], rank))
     else:
         admit = ready.append
-    cursor, total = 0, len(pending)
-    now = start = pending[0].arrival
+    cursor = 0  # the next rank to arrive
+    now = start = arrival[0]
     occupants, ends = [], []  # the trace's columns: a pid or None, and an end, per segment
     occupy, end_at = occupants.append, ends.append
     while cursor < total or ready:
-        while cursor < total and pending[cursor].arrival <= now:
-            admit(pending[cursor])
+        while cursor < total and arrival[cursor] <= now:
+            admit(cursor)
             cursor += 1
         if not ready:
-            nxt = pending[cursor].arrival
+            nxt = arrival[cursor]
             occupy(None)
             end_at(nxt)
             now = nxt
             continue
         if sjf:
-            batch = [heapq.heappop(ready)[3]]
+            batch = [heapq.heappop(ready)[1]]
         else:
             if smdrr:
-                batch, quantum = plan_cycle_smdrr(ready)
+                batch, quantum = plan_cycle_smdrr(ready, remaining)
                 quanta.append(quantum)
                 if len(ends) + len(batch) > MAX_SEGMENTS:
                     raise WorkloadError(f"smdrr would dispatch more than {MAX_SEGMENTS} segments")
             else:
                 batch = ready.copy()
             ready.clear()
-        for proc in batch:
-            if proc.first_start is None:
-                proc.first_start = now
-            remaining = proc.remaining
-            run = quantum if quantum < remaining else remaining
-            occupy(proc.pid)
+        for rank in batch:
+            if first_start[rank] is None:
+                first_start[rank] = now
+            left = remaining[rank]
+            run = quantum if quantum < left else left
+            occupy(pids[rank])
             now += run
             end_at(now)
-            if run == remaining:
-                proc.completion = now
+            if run == left:
+                completion[rank] = now
                 continue
-            proc.remaining = remaining - run
-            # Arrivals come off the cursor already in (arrival, submission
-            # index) order and join ahead of the preempted process.
-            while cursor < total and pending[cursor].arrival <= now:
-                admit(pending[cursor])
+            remaining[rank] = left - run
+            # Arrivals come off the cursor in rank order and join ahead of
+            # the preempted process.
+            while cursor < total and arrival[cursor] <= now:
+                admit(cursor)
                 cursor += 1
-            ready.append(proc)
-    outcomes = tuple(
-        ProcessOutcome(p.pid, p.arrival, p.burst, p.first_start, p.completion)
-        for p in procs
-    )
+            ready.append(rank)
+    outcomes = [None] * total
+    for rank, i in enumerate(order):
+        pid, arrived, burst = specs[i]
+        outcomes[i] = ProcessOutcome(pid, arrived, burst, first_start[rank], completion[rank])
     return Trace(workload.name, policy.spelling(), start, tuple(occupants), tuple(ends),
-                 outcomes, tuple(quanta) if quanta is not None else None)
+                 tuple(outcomes), tuple(quanta) if quanta is not None else None)

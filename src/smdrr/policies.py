@@ -92,32 +92,28 @@ def harmonic_mean_quantum(remaining: Sequence[int]) -> int:
     return -(-len(remaining) * den // num)
 
 
-def plan_cycle_smdrr(ready: Iterable) -> tuple[list, int]:
-    """Plan one SMDRR cycle over the ready set: (dispatch order, quantum).
+def plan_cycle_smdrr(ready: Iterable[int], remaining: Sequence[int]) -> tuple[list[int], int]:
+    """Plan one SMDRR cycle over the ready ranks: (dispatch order, quantum).
 
-    Ready records are any objects with the fields pid, remaining, arrival
-    and submission_index.  Order: ascending remaining time, ties by arrival
-    then submission index.  Quantum: harmonic-mean ceiling of the remaining
+    A rank is a process's place in (arrival, submission index) order, and
+    remaining[rank] is its remaining time.  Order: ascending remaining
+    time, ties by rank.  Quantum: harmonic-mean ceiling of the remaining
     times (ValueError on an empty ready set).  The sort is stable and near
     linear when the input is already mostly in order.
     """
-    entries = sorted(ready, key=lambda e: (e.remaining, e.arrival, e.submission_index))
-    return entries, harmonic_mean_quantum([e.remaining for e in entries])
+    order = sorted(ready, key=lambda rank: (remaining[rank], rank))
+    return order, harmonic_mean_quantum([remaining[rank] for rank in order])
 
 
-def rr_requeue_position(
-    queue: MutableSequence[str],
-    preempted_pid: str,
-    arrivals_during_run: Iterable,
-) -> MutableSequence[str]:
-    """Requeue after a quantum expiry, in place, and return the same queue.
+def rr_requeue_position(queue: MutableSequence[int], preempted: int,
+                        arrivals: Iterable[int]) -> MutableSequence[int]:
+    """Requeue ranks after a quantum expiry, in place, and return the same queue.
 
-    Ready records that arrived at or before the preemption instant join
-    first (arrival order, ties by submission index); the preempted process goes
-    to the tail.  queue is a list or a deque; the cost is O(arrivals),
-    independent of the queue's length.
+    The ranks that arrived at or before the preemption instant join first,
+    in rank order, which is (arrival, submission index) order; the
+    preempted rank goes to the tail.  queue is a list or a deque; the cost
+    is O(arrivals), independent of the queue's length.
     """
-    arrivals = sorted(arrivals_during_run, key=lambda e: (e.arrival, e.submission_index))
-    queue.extend(e.pid for e in arrivals)
-    queue.append(preempted_pid)
+    queue.extend(sorted(arrivals))
+    queue.append(preempted)
     return queue

@@ -15,7 +15,7 @@ from smdrr.engine import (
 )
 from smdrr.errata import Erratum
 from smdrr.metrics import ProcessMetrics, compute_metrics
-from smdrr.policies import PolicyConfig
+from smdrr.policies import PolicyConfig, parse_policy
 from smdrr.workload import (
     MAX_SEGMENTS,
     MAX_TIME,
@@ -150,6 +150,51 @@ def test_trace_json_omits_quanta_without_a_quantum_policy():
 def test_outcomes_preserve_submission_order():
     trace = simulate(paper_case(3), PolicyConfig("sjf"))
     assert [p.pid for p in trace.processes] == ["P1", "P2", "P3", "P4"]
+
+
+# Equal keys that differ only in arrival ("arrival": C arrives first, B is
+# submitted first) or only in submission index ("submission"), against
+# pid order, so a tie broken on the submission index or on the pid runs B
+# first.  In "requeued", SMDRR's cycle 1 preempts Y behind B, which arrived
+# during it, and cycle 2 ties them at 4 ms: a sort that keeps the ready
+# list's order on a tie runs B first, though Y arrived first.
+TIE_WORKLOADS = {
+    "arrival": (("Z", 0, 6), ("B", 2, 4), ("C", 1, 4)),
+    "submission": (("Z", 0, 6), ("C", 1, 4), ("B", 1, 4)),
+    "requeued": (("Y", 0, 9), ("X", 0, 3), ("B", 1, 4)),
+}
+C_THEN_B = {
+    "smdrr": [("Z", 0, 6), ("C", 6, 10), ("B", 10, 14)],
+    "rr:3": [("Z", 0, 3), ("C", 3, 6), ("B", 6, 9), ("Z", 9, 12), ("C", 12, 13), ("B", 13, 14)],
+    "sjf": [("Z", 0, 6), ("C", 6, 10), ("B", 10, 14)],
+}
+TIE_SEGMENTS = {
+    "arrival": C_THEN_B,
+    "submission": C_THEN_B,
+    "requeued": {
+        "smdrr": [("X", 0, 3), ("Y", 3, 8), ("Y", 8, 12), ("B", 12, 16)],
+        "rr:3": [("Y", 0, 3), ("X", 3, 6), ("B", 6, 9), ("Y", 9, 12), ("B", 12, 13),
+                 ("Y", 13, 16)],
+        "sjf": [("X", 0, 3), ("B", 3, 7), ("Y", 7, 16)],
+    },
+}
+FOLLOWERS = {
+    "smdrr": lambda procs: oracle.smdrr_trace(procs)[0],
+    "rr:3": lambda procs: oracle.rr_trace(procs, 3),
+    "sjf": oracle.sjf_trace,
+}
+
+
+def test_ties_break_by_arrival_then_submission_index():
+    for name, procs in TIE_WORKLOADS.items():
+        w = Workload(name, [ProcessSpec(*p) for p in procs])
+        for spelling, segments in TIE_SEGMENTS[name].items():
+            trace = simulate(w, parse_policy(spelling))
+            assert list(trace.segments) == segments, (name, spelling)
+            assert FOLLOWERS[spelling](list(procs)) == segments, (name, spelling)
+            ends = {pid: end for pid, _, end in segments}  # each pid's last end
+            assert [(p.pid, p.completion) for p in trace.processes] == [
+                (pid, ends[pid]) for pid, _, _ in procs], (name, spelling)
 
 
 CASE1_SMDRR = simulate(paper_case(1), SMDRR)
@@ -298,3 +343,28 @@ def test_trace_retains_under_64_bytes_a_segment():
         tracemalloc.stop()
     assert retained / len(trace.ends) <= 64
     assert peak - current < 1000  # len of the view builds no segment list
+
+
+@pytest.mark.parametrize("selected", [slice(1, 3), slice(None, None, -1), slice(-2, None),
+                                      slice(3, 3), slice(None, None, 2)],
+                         ids=["1:3", "::-1", "-2:", "3:3", "::2"])
+def test_segments_view_slices_into_a_tuple(selected):
+    # a slice used to index a range by a range and raise TypeError
+    view = simulate(paper_case(4), RR20).segments
+    assert view[selected] == tuple(list(view))[selected]
+    assert type(view[selected]) is tuple
+
+
+def test_segments_view_slice_builds_only_the_selected_segments():
+    w = Workload("w", (ProcessSpec("P1", 0, 50_000), ProcessSpec("P2", 0, 50_000)))
+    view = simulate(w, PolicyConfig("rr", 1)).segments
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        current = tracemalloc.get_traced_memory()[0]
+        picked = view[50_000:50_010]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert picked == tuple((("P1", "P2")[t % 2], t, t + 1) for t in range(50_000, 50_010))
+    assert peak - current < 10_000  # ten segments, not 10**5

@@ -1,6 +1,6 @@
 import math
 import re
-from collections import deque, namedtuple
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -81,75 +81,76 @@ def test_harmonic_mean_quantum_matches_fraction_with_duplicates(values):
     assert harmonic_mean_quantum(values) == exact_quantum(values)
 
 
-# the four fields plan_cycle_smdrr reads from a ready record
-Ready = namedtuple("Ready", "pid remaining arrival submission_index")
-
-
-def entries(*rows):
-    return [Ready(*row) for row in rows]
+# Ranks number the processes in (arrival, submission index) order, and
+# remaining[rank] is a rank's remaining time; the engine keeps the entries
+# of finished ranks, so the tests below do too.
 
 
 def test_plan_cycle_case1_opening():
-    ready = entries(("P1", 20, 0, 0), ("P2", 40, 0, 1), ("P3", 83, 0, 2), ("P4", 90, 0, 3))
-    order, quantum = plan_cycle_smdrr(ready)
-    assert [e.pid for e in order] == ["P1", "P2", "P3", "P4"]
+    order, quantum = plan_cycle_smdrr([0, 1, 2, 3], [20, 40, 83, 90])
+    assert order == [0, 1, 2, 3]
     assert quantum == 41
 
 
 def test_plan_cycle_case1_second_round():
-    order, quantum = plan_cycle_smdrr(entries(("P3", 42, 0, 2), ("P4", 49, 0, 3)))
-    assert [e.pid for e in order] == ["P3", "P4"]
+    order, quantum = plan_cycle_smdrr([2, 3], [20, 40, 42, 49])
+    assert order == [2, 3]
     assert quantum == 46
 
 
 def test_plan_cycle_case4_third_round():
-    order, quantum = plan_cycle_smdrr(
-        entries(("P3", 15, 6, 2), ("P4", 25, 11, 3), ("P5", 68, 21, 4)))
-    assert [e.pid for e in order] == ["P3", "P4", "P5"]
+    # P5 (rank 4) arrived during cycle 2 and joined ahead of P3 and P4
+    order, quantum = plan_cycle_smdrr([4, 2, 3], [18, 20, 15, 25, 68])
+    assert order == [2, 3, 4]
     assert quantum == 25
 
 
-def test_plan_cycle_tie_breaks():
-    # equal remaining: earlier arrival wins, then submission order
-    ready = entries(("B", 10, 4, 1), ("A", 10, 2, 0), ("C", 10, 2, 2))
-    order, _ = plan_cycle_smdrr(ready)
-    assert [e.pid for e in order] == ["A", "C", "B"]
+@given(st.data())
+def test_plan_cycle_orders_by_remaining_then_rank(data):
+    # small values as well as wide ones, so equal remaining times are common
+    remaining = data.draw(st.lists(st.integers(1, 5) | st.integers(1, 10**6),
+                                   min_size=1, max_size=60))
+    ranks = data.draw(st.permutations(range(len(remaining))))
+    ready = ranks[:data.draw(st.integers(1, len(ranks)))]
+    order, quantum = plan_cycle_smdrr(ready, remaining)
+    assert order == sorted(ready, key=lambda rank: (remaining[rank], rank))
+    assert quantum == exact_quantum([remaining[rank] for rank in ready])
 
 
 def test_plan_cycle_is_deterministic():
-    ready = entries(("P2", 9, 1, 1), ("P1", 7, 0, 0), ("P3", 9, 1, 2))
-    assert plan_cycle_smdrr(ready) == plan_cycle_smdrr(list(ready))
+    ready, remaining = [1, 0, 2], [7, 9, 9]
+    assert plan_cycle_smdrr(ready, remaining) == plan_cycle_smdrr(tuple(ready), remaining)
+    assert plan_cycle_smdrr(ready, remaining) == ([0, 1, 2], 9)
+    assert ready == [1, 0, 2]
 
 
 def test_plan_cycle_rejects_empty():
     with pytest.raises(ValueError):
-        plan_cycle_smdrr([])
+        plan_cycle_smdrr([], [])
 
 
 def test_rr_requeue_preempted_goes_last():
-    arrived = entries(("P5", 68, 21, 4))
-    assert rr_requeue_position(["P4"], "P3", arrived) == ["P4", "P5", "P3"]
+    # case 4 under rr: P5 (rank 4) arrives while P3 (rank 2) runs
+    assert rr_requeue_position([3], 2, [4]) == [3, 4, 2]
 
 
 def test_rr_requeue_case4_snapshot():
-    assert rr_requeue_position(["P4", "P5"], "P3", []) == ["P4", "P5", "P3"]
+    assert rr_requeue_position([3, 4], 2, []) == [3, 4, 2]
 
 
 def test_rr_requeue_empty_queue():
-    assert rr_requeue_position([], "P1", []) == ["P1"]
+    assert rr_requeue_position([], 0, []) == [0]
 
 
 def test_rr_requeue_sorts_arrivals():
-    arrived = entries(("X", 5, 9, 3), ("Y", 5, 4, 7), ("Z", 5, 4, 2))
-    assert rr_requeue_position([], "P", arrived) == ["Z", "Y", "X", "P"]
+    assert rr_requeue_position([], 0, [7, 3, 5]) == [3, 5, 7, 0]
 
 
 @pytest.mark.parametrize("container", [list, deque])
 def test_rr_requeue_extends_the_queue_in_place(container):
-    queue = container(["A", "B"])
-    arrived = entries(("X", 5, 9, 3), ("Y", 5, 4, 7), ("Z", 5, 4, 2))
-    assert rr_requeue_position(queue, "P", arrived) is queue
-    assert list(queue) == ["A", "B", "Z", "Y", "X", "P"]
+    queue = container([1, 2])
+    assert rr_requeue_position(queue, 0, iter([7, 3, 5])) is queue
+    assert list(queue) == [1, 2, 3, 5, 7, 0]
 
 
 @pytest.mark.parametrize(

@@ -16,8 +16,11 @@ BENCHMARK.json bound and whether the runs resolve it (neither side's
 relative quartile spread exceeds the bound, or every change run beats
 every parent run); and ``tools/scale_sweep.py --json`` for both
 checkouts, run in SWEEP_ROUNDS rounds that alternate which checkout
-goes first, keeping each cell's fastest run.  Every run must
-report ``correct: true``, or the script stops.
+goes first, keeping each cell's fastest run; and one
+``tools/gc_split.py`` run of GC_SPLIT_COMMANDS commands per checkout and
+workload, which says whether each side's collections run in the command
+or in the reference work.  Every run must report ``correct: true``, or
+the script stops.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ HERE = Path(__file__).resolve().parent
 RUNS = 10  # untraced runs per workload and checkout
 TRACED_RUNS = 1
 SWEEP_ROUNDS = 3  # interleaved scale sweeps per checkout
+GC_SPLIT_COMMANDS = 12
 
 
 def bench(root: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -127,6 +131,15 @@ def sweep(roots: dict[str, Path]) -> dict:
     return best
 
 
+def gc_splits(roots: dict[str, Path], workloads: list[str], seed: int) -> dict:
+    """Each checkout's GC collections per phase of the closed loop, per workload."""
+    return {label: {w: json.loads(subprocess.run(
+        [sys.executable, str(HERE / "gc_split.py"), "--src", str(root / "src"),
+         "--workload", w, "--seed", str(seed), "--commands", str(GC_SPLIT_COMMANDS)],
+        capture_output=True, text=True, check=True).stdout) for w in workloads}
+        for label, root in roots.items()}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -142,6 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         "host": {"python": platform.python_version(), "machine": platform.machine()},
         "protocol": {"seed": args.seed, "seconds": seconds, "runs": RUNS,
                      "traced_runs": TRACED_RUNS, "sweep_rounds": SWEEP_ROUNDS,
+                     "gc_split_commands": GC_SPLIT_COMMANDS,
                      "interleaved": True},
     }
     result.update(record(roots, workloads, args.seed, seconds))
@@ -153,6 +167,7 @@ def main(argv: list[str] | None = None) -> int:
         for w in workloads
     }
     result["scale_sweep"] = sweep(roots)
+    result["gc_split"] = gc_splits(roots, workloads, args.seed)
     json.dump(result, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
