@@ -167,69 +167,53 @@ def _render_gantt(trace: Trace, kind: str | None) -> str | None:
 # The string quoting json.dumps itself uses (ensure_ascii, C accelerated).
 json_quote = json.encoder.encode_basestring_ascii
 
+
 # The run document is json.dumps([{"policy", "trace", "metrics"}], indent=2):
-# each run object sits at depth 1 and its keys at depth 2.  The keys of a
-# trace or metrics object are indented by I1, their list items by I2 and
-# the fields of one record by I3; REC_END closes a record and OBJ_END the
-# trace or metrics object itself.  Each record is one f-string and each
-# record list one chunk.
-I1, I2, I3 = "\n" + "  " * 3, "\n" + "  " * 4, "\n" + "  " * 5
-REC_END, OBJ_END = I2 + "}", "\n" + "  " * 2 + "}"
+# the keys of a trace or metrics object sit at depth 3, the items of its lists
+# at depth 4 and the fields of a record at depth 5.  A record fills its
+# %-template with the record tuple itself.  A pid goes in verbatim between
+# quotes, since the workload pid grammar admits no character JSON escapes.
+def _template(record: type) -> str:
+    """The template of a record type whose first field is a pid, keyed by its _fields."""
+    pid, *rest = record._fields
+    fields = [f'"{pid}": "%s"'] + [f'"{name}": %s' for name in rest]
+    return "{\n          " + ",\n          ".join(fields) + "\n        }"
 
 
-def json_list(items: list[str]) -> str:
-    """A JSON array of rendered items, laid out as a list in a trace or metrics object."""
+_SEGMENT = '{\n          "pid": "%s",\n          "start": %s,\n          "end": %s\n        }'
+_IDLE = '{\n          "idle": true,\n          "start": %s,\n          "end": %s\n        }'
+_OUTCOME = _template(ProcessOutcome)
+_METRICS = _template(ProcessMetrics)
+
+
+def _list(items: list[str]) -> str:
+    """A JSON array of rendered items at depth 3 of the run document."""
     if not items:
         return "[]"
-    return "[" + I2 + ("," + I2).join(items) + I1 + "]"
-
-
-def _trace_json(trace: Trace) -> Iterator[str]:
-    """trace.to_dict() as the run document lays it out."""
-    yield (f'{{{I1}"workload": {json_quote(trace.workload_name)},'
-           f'{I1}"policy": {json_quote(trace.policy)},{I1}"segments": ')
-    yield json_list([
-        f'{{{I3}"idle": true,{I3}"start": {start},{I3}"end": {end}{REC_END}'
-        if occupant is None else
-        f'{{{I3}"pid": {json_quote(occupant)},{I3}"start": {start},'
-        f'{I3}"end": {end}{REC_END}'
-        for occupant, start, end in trace.intervals()
-    ])
-    yield f',{I1}"processes": '
-    yield json_list([
-        f'{{{I3}"pid": {json_quote(p.pid)},{I3}"arrival": {p.arrival},'
-        f'{I3}"burst": {p.burst},{I3}"first_start": {p.first_start},'
-        f'{I3}"completion": {p.completion}{REC_END}'
-        for p in trace.processes
-    ])
-    if trace.quanta is not None:
-        yield f',{I1}"quanta": ' + json_list([str(q) for q in trace.quanta])
-    yield OBJ_END
-
-
-def _metrics_json(report: MetricsReport) -> Iterator[str]:
-    """report.to_dict() as the run document lays it out."""
-    yield f'{{{I1}"convention": {json_quote(report.convention.value)},{I1}"processes": '
-    yield json_list([
-        f'{{{I3}"pid": {json_quote(p.pid)},{I3}"turnaround": {p.turnaround},'
-        f'{I3}"waiting": {p.waiting},{I3}"response": {p.response}{REC_END}'
-        for p in report.processes
-    ])
-    yield "".join(
-        f',{I1}"{name}": {json_quote(value) if isinstance(value, str) else value}'
-        for name, value in report.aggregates()) + OBJ_END
+    return "[\n        " + ",\n        ".join(items) + "\n      ]"
 
 
 def _run_json(runs: list[tuple[PolicyConfig, Trace, MetricsReport]],
               gantt_kind: str | None) -> Iterator[str]:
-    """The run documents, byte for byte as json.dumps([...], indent=2) + "\\n"."""
+    """The run documents, byte for byte as json.dumps([...], indent=2) + "\\n",
+    one chunk per record list."""
     yield "["
     for i, (policy, trace, report) in enumerate(runs):
         yield (f'{"," if i else ""}\n  {{\n    "policy": {json_quote(policy.spelling())},'
-               '\n    "trace": ')
-        yield from _trace_json(trace)
-        yield ',\n    "metrics": '
-        yield from _metrics_json(report)
+               f'\n    "trace": {{\n      "workload": {json_quote(trace.workload_name)},'
+               f'\n      "policy": {json_quote(trace.policy)},\n      "segments": ')
+        yield _list([_SEGMENT % s if s[0] is not None else _IDLE % s[1:]
+                     for s in trace.intervals()])
+        yield ',\n      "processes": '
+        yield _list([_OUTCOME % p for p in trace.processes])
+        if trace.quanta is not None:
+            yield ',\n      "quanta": ' + _list([str(q) for q in trace.quanta])
+        yield ('\n    },\n    "metrics": {\n      "convention": '
+               f'{json_quote(report.convention.value)},\n      "processes": ')
+        yield _list([_METRICS % p for p in report.processes])
+        yield "".join(
+            f',\n      "{name}": {json_quote(value) if isinstance(value, str) else value}'
+            for name, value in report.aggregates()) + "\n    }"
         gantt = _render_gantt(trace, gantt_kind)
         if gantt is not None:
             yield from (',\n    "gantt": ', json_quote(gantt))
@@ -271,8 +255,13 @@ def cmd_paper_cases(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     return ["\n".join(chunks)]
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main call
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    _parser = _parser or build_parser()
+    args = _parser.parse_args(argv)
     try:
         # Every command finishes simulating before it returns, so a workload
         # error leaves no --out file behind.

@@ -12,10 +12,11 @@ from collections import namedtuple
 from typing import Iterable
 
 _INT_RE = re.compile(r"-?[0-9]+", re.ASCII)
-# Pids are labels in CSV cells, SVG text and the ASCII lane, so they hold
-# no comma, markup character, bar or space, and at least one letter or
-# digit, so that no pid reads like the idle label "--".  The leading run
-# holds no letter or digit, so a match never backtracks.
+# Pids are written verbatim in CSV cells, SVG text, the ASCII lane and JSON
+# strings, so they hold no comma, markup character, bar, space or character
+# that JSON escapes, and at least one letter or digit, so that no pid reads
+# like the idle label "--".  The leading run holds no letter or digit, so a
+# match never backtracks.
 _PID_RE = re.compile(r"[_.:-]*[A-Za-z0-9][A-Za-z0-9_.:-]*")
 # Every output format repeats a pid once per segment, so its length is capped.
 MAX_PID_LENGTH = 64

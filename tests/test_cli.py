@@ -413,5 +413,22 @@ def test_paper_cases_byte_stable(capsys):
     assert first == second
 
 
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    builds = []
+
+    def counted(build=smdrr.cli.build_parser):
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(smdrr.cli, "_parser", None, raising=False)
+    monkeypatch.setattr(smdrr.cli, "build_parser", counted)
+    runs = [run_cli(capsys, "run", "--case", "1", "--policy", spec, "--format", "csv")
+            for spec in ("smdrr", "rr:20", "smdrr")]
+    assert builds == [1]
+    # --policy appends to a copy of its default, so no call sees an earlier one's
+    assert runs[0] == runs[2] != runs[1]
+    assert all(len(out.splitlines()) == 2 for _, out, _ in runs)  # a header, one policy
+
+
 def test_unknown_command_usage_error(capsys):
     assert run_cli_usage_error(capsys, "bench") == 2

@@ -7,7 +7,7 @@ import string
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smdrr.cli import main
@@ -15,7 +15,7 @@ from smdrr.engine import simulate
 from smdrr.metrics import Convention, compute_metrics
 from smdrr.policies import parse_policy
 from smdrr.report import render_gantt_ascii, render_gantt_svg
-from smdrr.workload import parse_workload
+from smdrr.workload import _PID_RE, parse_workload
 
 POLICIES = ("smdrr", "rr:3", "rr:20", "fcfs", "sjf")
 _AWKWARD = ('"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "é", " ", "€",
@@ -60,6 +60,15 @@ def reference(doc: dict, policies: list[str], convention: str, gantt: str | None
     return json.dumps(docs, indent=2) + "\n"
 
 
+def test_no_pid_character_needs_json_escaping():
+    """The run-JSON writer puts pids between quotes verbatim: every character
+    the pid grammar admits below U+0300 is one json.dumps leaves as it is."""
+    admitted = [chr(c) for c in range(0x300) if _PID_RE.fullmatch("A" + chr(c))]
+    for c in admitted:
+        assert json.dumps(c) == f'"{c}"', c
+    assert len(admitted) == 66  # letters, digits and "_.:-"
+
+
 @given(
     doc=workload_docs(),
     policies=st.lists(st.sampled_from(POLICIES), min_size=1, max_size=4, unique=True),
@@ -67,6 +76,13 @@ def reference(doc: dict, policies: list[str], convention: str, gantt: str | None
     gantt=st.sampled_from([None, "ascii", "svg"]),
     to_file=st.booleans(),
 )
+@example(doc={"name": "", "processes": [{"pid": "-a", "arrival": 3, "burst": 5},
+                                        {"pid": "_.:-9", "arrival": 0, "burst": 2},
+                                        {"pid": "Z", "arrival": 20, "burst": 1}]},
+         policies=["smdrr", "rr:3"], convention="standard", gantt=None, to_file=False)
+@example(doc={"name": "a:b", "processes": [{"pid": "x.y-z_0", "arrival": 0, "burst": 4},
+                                           {"pid": "..:A", "arrival": 1, "burst": 4}]},
+         policies=["fcfs", "sjf"], convention="paper", gantt="svg", to_file=True)
 @settings(max_examples=40, deadline=None)
 def test_streamed_run_json_equals_indent_dump(doc, policies, convention, gantt, to_file):
     with tempfile.TemporaryDirectory() as tmp:

@@ -11,13 +11,12 @@ number of distinct remaining times.  For each row and each n in 100,
 ``simulate`` alone and prints µs per segment and the segment count.  A
 cell counts as linear-time when its µs/segment stays flat as n grows.
 
-Each cell has a wall budget of BUDGET_S seconds.  Before a cell runs, its
-time is predicted from the row's own growth: the exponent of n between
-the row's last two cells that ran, never below 1 (linear), and linear
-after the row's first cell.  A cell predicted over budget is reported
-as skipped and is not run, and so are the larger cells after it.  Cells
-that finish quickly are repeated (up to three times, within the budget)
-and the fastest run is kept.
+Each cell has a wall budget of BUDGET_S seconds.  Every cell runs until
+one of its row has taken longer than that; the larger cells after it are
+reported as skipped and are not run.  No cell is skipped on a prediction,
+so two checkouts swept on one host run the same cells unless one of them
+measured a cell over the budget.  Cells that finish quickly are repeated
+(up to three times, within the budget) and the fastest run is kept.
 
 --src points at another checkout's ``src`` directory, so that two
 commits can be swept with the same script.  --json prints one JSON
@@ -29,7 +28,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import platform
 import sys
 import time
@@ -57,21 +55,13 @@ def sweep() -> dict:
     cells = []
     for spelling, burst, spread in ROWS:
         config = parse_policy(spelling)
-        ran = []  # (n, seconds) of this row's cells that ran
-        skipping = False
+        over = None  # n of the row's cell that took longer than the budget
         for n in SIZES:
             cell = {"policy": spelling, "burst": list(burst), "arrival": f"0..{n * spread}",
                     "n": n}
             cells.append(cell)
-            if ran and not skipping:
-                n1, s1 = ran[-1]
-                growth = 1.0
-                if len(ran) > 1:
-                    n0, s0 = ran[-2]
-                    growth = max(1.0, math.log(s1 / s0) / math.log(n1 / n0))
-                skipping = s1 * (n / n1) ** growth > BUDGET_S
-            if skipping:
-                cell["skipped"] = f"predicted over the {BUDGET_S:g} s budget"
+            if over is not None:
+                cell["skipped"] = f"n = {over} took over the {BUDGET_S:g} s budget"
                 continue
             workload = generate_workload(GeneratorSpec(n, *burst, 0, n * spread, SEED))
             best, spent, runs = float("inf"), 0.0, 0
@@ -84,7 +74,8 @@ def sweep() -> dict:
             segments = len(trace.segments)
             cell.update(seconds=best, segments=segments, runs=runs,
                         us_per_segment=best / segments * 1e6)
-            ran.append((n, best))
+            if best > BUDGET_S:
+                over = n
     return {
         "seed": SEED,
         "budget_s": BUDGET_S,
