@@ -8,6 +8,7 @@ Fixed-quantum RR, FCFS and SJF serve as baselines.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, namedtuple
 from typing import Iterable, MutableSequence, Sequence
 
@@ -65,23 +66,35 @@ def parse_policy(text: str) -> PolicyConfig:
 def harmonic_mean_quantum(remaining: Sequence[int]) -> int:
     """Ceiling of the harmonic mean n / (1/x1 + ... + 1/xn).
 
-    Computed exactly in integers: a float sum can land on the wrong side
-    of an integer boundary (e.g. [2,3,6] has harmonic mean exactly 3,
-    which naive float math rounds up to 4) and a wrong quantum rewrites
-    the whole schedule.  The sum of c/v over each distinct value v (seen
-    c times) is a balanced pairwise sum of num/den terms, with no gcd
-    reduction: each level adds neighbouring pairs and carries an odd last
-    term up unchanged, so every denominator is the product of the values
-    under it and the big-integer products stay balanced.  The ceiling of
-    n*den/num is then one integer division.  The result always lies
-    within [min(remaining), max(remaining)].
+    A wrong quantum rewrites the whole schedule, so a float mean H is used
+    only when certified.  Below 2**53 each value is an exact float, and
+    each 1/x, the fsum and the division are correctly rounded, so the true
+    mean is within a relative (1 + 2**-53)**2 / (1 - 2**-53) - 1 < 2**-51
+    of H; each margin product rounds once more.  So it lies in [H*(1 - m),
+    H*(1 + m)] with m = 2**-50, and when both ends share a ceiling that is
+    the quantum.  Otherwise (an integer mean, as [2, 3, 6] -> 3, or a value
+    of 2**53 or more) the exact sum decides.  The result lies within
+    [min(remaining), max(remaining)].
     """
     if not remaining:
         raise ValueError("remaining burst list is empty")
-    counts = Counter(remaining)
-    if min(counts) < 1:
+    if min(remaining) < 1:
         raise ValueError("remaining bursts must be >= 1")
-    terms = [(count, value) for value, count in counts.items()]
+    if max(remaining) < 2**53:
+        mean = len(remaining) / math.fsum(map((1.0).__truediv__, remaining))
+        quantum = math.ceil(mean * (1 - 2**-50))
+        if quantum == math.ceil(mean * (1 + 2**-50)):
+            return quantum
+    return _exact_quantum(remaining)
+
+
+def _exact_quantum(remaining: Sequence[int]) -> int:
+    """harmonic_mean_quantum in integers.  The sum of c/v over each distinct
+    value v (seen c times) is a balanced pairwise sum of num/den terms with
+    no gcd reduction: each level adds neighbouring pairs and carries an odd
+    last term up, so the big-integer products stay balanced.  The ceiling
+    of n*den/num is then one integer division."""
+    terms = [(count, value) for value, count in Counter(remaining).items()]
     while len(terms) > 1:
         paired = [(n1 * d2 + n2 * d1, d1 * d2)
                   for (n1, d1), (n2, d2) in zip(terms[::2], terms[1::2])]

@@ -254,8 +254,10 @@ def generate_workload(spec: GeneratorSpec) -> Workload:
         burst = spec.burst_min + next(draws) % burst_span
         pairs.append((arrival, burst))
     pairs.sort(key=lambda pair: pair[0])
+    # GeneratorSpec has proven both ranges and the count cap, and P1..Pn
+    # match _PID_RE within MAX_PID_LENGTH, so ProcessSpec's checks are skipped.
     processes = tuple(
-        ProcessSpec(f"P{i}", arrival, burst)
+        tuple.__new__(ProcessSpec, (f"P{i}", arrival, burst))
         for i, (arrival, burst) in enumerate(pairs, start=1)
     )
     return Workload(f"generated-seed{spec.seed}", processes)

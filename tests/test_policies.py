@@ -1,11 +1,14 @@
 import math
+import random
 import re
+import time
 from collections import deque
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import smdrr.policies
 from smdrr.cli import main
 from smdrr.policies import (
     PolicyConfig,
@@ -47,6 +50,10 @@ def exact_quantum(values):
         (list(range(2**1 + 1, 0, -1)), 2),
         (list(range(2**5 + 1, 0, -1)), 9),
         (list(range(2**12 + 1, 0, -1)), 461),
+        # integer means whose plain float mean lands just above the integer
+        ([3] * 5, 3),
+        ([14, 21, 42] * 5, 21),
+        ([34, 51, 102] * 3, 51),
     ],
 )
 def test_harmonic_mean_quantum_values(values, expected):
@@ -79,6 +86,61 @@ def test_harmonic_mean_of_equal_values_is_exact(value, count):
     lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=300)))
 def test_harmonic_mean_quantum_matches_fraction_with_duplicates(values):
     assert harmonic_mean_quantum(values) == exact_quantum(values)
+
+
+# Integer harmonic means, which the float path never certifies, and values
+# near MAX_TIME, the widest it does: [2, 3, 6] scaled and repeated, [k] * m,
+# values near 10**12, lists joining those, and wide and small values mixed.
+_integer_means = st.builds(lambda k, m: [2 * k, 3 * k, 6 * k] * m,
+                           st.integers(1, 10**11), st.integers(1, 40))
+_equal_values = st.builds(lambda k, m: [k] * m, st.integers(1, 10**12), st.integers(1, 60))
+_near_cap = st.lists(st.integers(10**12 - 10**6, 10**12), min_size=1, max_size=200)
+
+
+@given(st.one_of(_integer_means, _equal_values, _near_cap,
+                 st.lists(_integer_means | _equal_values | _near_cap, min_size=1, max_size=4)
+                 .map(lambda parts: sum(parts, [])),
+                 st.lists(st.integers(1, 10**12) | st.integers(1, 50), min_size=1, max_size=200)))
+def test_both_quantum_paths_match_fraction(values):
+    assert harmonic_mean_quantum(values) == exact_quantum(values)
+    assert smdrr.policies._exact_quantum(values) == exact_quantum(values)
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Count the calls of the exact fallback, which still computes the result."""
+    calls = []
+    exact = smdrr.policies._exact_quantum
+
+    def counted(values):
+        calls.append(len(values))
+        return exact(values)
+
+    monkeypatch.setattr(smdrr.policies, "_exact_quantum", counted)
+    return calls
+
+
+@pytest.mark.parametrize("values,fallbacks", [
+    ([20, 40, 83, 90], 0),
+    ([2, 3, 6], 1),  # an integer mean is never certified
+    ([7] * 9, 1),
+    ([2**53 - 1, 3, 7], 0),
+    ([2**53, 3, 7], 1),  # 2**53 and up are not all exact floats
+    ([3, 10**30], 1),
+])
+def test_quantum_takes_the_float_path_only_when_certified(exact_calls, values, fallbacks):
+    assert harmonic_mean_quantum(values) == exact_quantum(values)
+    assert len(exact_calls) == fallbacks
+
+
+def test_wide_distinct_quantum_takes_the_float_path_in_under_a_second(exact_calls):
+    # 3 * 10**5 distinct values below MAX_TIME: the exact sum takes about 15 s.
+    values = random.Random(26).sample(range(1, 10**12), 3 * 10**5)
+    start = time.perf_counter()
+    quantum = harmonic_mean_quantum(values)
+    assert time.perf_counter() - start < 1.0
+    assert exact_calls == []
+    assert min(values) <= quantum <= max(values)
 
 
 # Ranks number the processes in (arrival, submission index) order, and

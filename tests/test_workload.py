@@ -3,13 +3,14 @@ import re
 import string
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import smdrr.workload
 
 from smdrr.workload import (
     MAX_PID_LENGTH,
     MAX_PROCESSES,
+    MAX_TIME,
     GeneratorSpec,
     ProcessSpec,
     Workload,
@@ -243,6 +244,29 @@ def test_generate_respects_ranges_and_pid_order():
     assert [p.pid for p in w.processes] == [f"P{i}" for i in range(1, 41)]
     assert all(3 <= p.burst <= 9 for p in w.processes)
     assert all(2 <= p.arrival <= 11 for p in w.processes)
+
+
+@st.composite
+def generator_specs(draw):
+    def edge_or_any(least, most):  # either end of the range, or any value in it
+        return draw(st.sampled_from([least, most]) | st.integers(least, most))
+    burst_min = edge_or_any(1, MAX_TIME)
+    arrival_min = edge_or_any(0, MAX_TIME)
+    return GeneratorSpec(edge_or_any(1, 30), burst_min, edge_or_any(burst_min, MAX_TIME),
+                         arrival_min, edge_or_any(arrival_min, MAX_TIME),
+                         edge_or_any(0, 2**64 - 1))
+
+
+# The generator builds its records without ProcessSpec's checks, because
+# GeneratorSpec has proven their ranges and P1..Pn their pids.
+@given(generator_specs())
+@example(GeneratorSpec(1, 1, 1, 0, 0, 0))
+@example(GeneratorSpec(3, MAX_TIME, MAX_TIME, 0, MAX_TIME, 2**64 - 1))
+@example(GeneratorSpec(2, 1, MAX_TIME, MAX_TIME, MAX_TIME, 2**64 - 1))
+def test_generated_records_pass_process_spec_checks(spec):
+    for record in generate_workload(spec).processes:
+        assert type(record) is ProcessSpec
+        assert ProcessSpec(*record) == record
 
 
 @pytest.mark.parametrize(

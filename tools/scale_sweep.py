@@ -5,8 +5,9 @@
 Stdlib only.  Each row is a policy with a burst range and an arrival
 spread: SMDRR, RR:20, FCFS and SJF with bursts 1..1000 ms and arrivals
 over 0..n*50 ms, and SMDRR with bursts 1..10**6 ms and every arrival at
-0, the input on which the exact quantum costs time quadratic in the
-number of distinct remaining times.  For each row and each n in 100,
+0, the input on which an exact integer quantum costs time quadratic in
+the number of distinct remaining times, so the row shows whether the
+certified float quantum keeps the cost linear.  For each row and each n in 100,
 1000, 4000, 10**4 and 10**5 it generates n processes (seed 1), times
 ``simulate`` alone and prints µs per segment and the segment count.  A
 cell counts as linear-time when its µs/segment stays flat as n grows.
@@ -15,8 +16,11 @@ Each cell has a wall budget of BUDGET_S seconds.  Every cell runs until
 one of its row has taken longer than that; the larger cells after it are
 reported as skipped and are not run.  No cell is skipped on a prediction,
 so two checkouts swept on one host run the same cells unless one of them
-measured a cell over the budget.  Cells that finish quickly are repeated
-(up to three times, within the budget) and the fastest run is kept.
+measured a cell over the budget.  A cell is repeated until its runs have
+taken at least MIN_S seconds, and the fastest run is kept: one run of a
+large cell, hundreds of an n = 100 cell, whose single run takes well
+under a millisecond.  MIN_S is far below BUDGET_S, so a cell's repeats
+stay within the budget whenever its first run does.
 
 --src points at another checkout's ``src`` directory, so that two
 commits can be swept with the same script.  --json prints one JSON
@@ -43,7 +47,7 @@ ROWS = (
 )
 SIZES = (100, 1000, 4000, 10**4, 10**5)
 SEED = 1
-REPEAT = 3
+MIN_S = 0.2  # seconds of simulate runs per cell, at least
 BUDGET_S = 10.0  # wall seconds per cell
 
 
@@ -65,7 +69,7 @@ def sweep() -> dict:
                 continue
             workload = generate_workload(GeneratorSpec(n, *burst, 0, n * spread, SEED))
             best, spent, runs = float("inf"), 0.0, 0
-            while runs < REPEAT and (runs == 0 or spent + best <= BUDGET_S):
+            while spent < MIN_S:
                 gc.collect()
                 t0 = time.perf_counter()
                 trace = simulate(workload, config)
