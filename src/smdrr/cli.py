@@ -146,7 +146,7 @@ def _run_text(policy: PolicyConfig, trace: Trace, report: MetricsReport,
     lines = [f"== {policy.label} on {name} (convention: {report.convention.value}) =="]
     table = [ProcessOutcome._fields + ProcessMetrics._fields[1:]]
     table += [tuple(map(str, outcome + pm[1:]))
-              for outcome, pm in zip(trace.processes, report.processes)]
+              for outcome, pm in zip(trace.outcomes(), report.rows())]
     lines += _table_lines(table)
     if trace.quanta is not None:
         lines.append("quanta: " + ",".join(str(q) for q in trace.quanta))
@@ -170,8 +170,8 @@ json_quote = json.encoder.encode_basestring_ascii
 
 # The run document is json.dumps([{"policy", "trace", "metrics"}], indent=2):
 # the keys of a trace or metrics object sit at depth 3, the items of its lists
-# at depth 4 and the fields of a record at depth 5.  A record fills its
-# %-template with the record tuple itself.  A pid goes in verbatim between
+# at depth 4 and the fields of a record at depth 5.  A record's %-template is
+# filled from a plain tuple of its fields.  A pid goes in verbatim between
 # quotes, since the workload pid grammar admits no character JSON escapes.
 def _template(record: type) -> str:
     """The template of a record type whose first field is a pid, keyed by its _fields."""
@@ -205,12 +205,12 @@ def _run_json(runs: list[tuple[PolicyConfig, Trace, MetricsReport]],
         yield _list([_SEGMENT % s if s[0] is not None else _IDLE % s[1:]
                      for s in trace.intervals()])
         yield ',\n      "processes": '
-        yield _list([_OUTCOME % p for p in trace.processes])
+        yield _list([_OUTCOME % p for p in trace.outcomes()])
         if trace.quanta is not None:
             yield ',\n      "quanta": ' + _list([str(q) for q in trace.quanta])
         yield ('\n    },\n    "metrics": {\n      "convention": '
                f'{json_quote(report.convention.value)},\n      "processes": ')
-        yield _list([_METRICS % p for p in report.processes])
+        yield _list([_METRICS % p for p in report.rows()])
         yield "".join(
             f',\n      "{name}": {json_quote(value) if isinstance(value, str) else value}'
             for name, value in report.aggregates()) + "\n    }"

@@ -11,11 +11,12 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterator, Sequence
 from itertools import chain
+from operator import add
 from typing import NamedTuple
 
 # Not called here: smdrr.engine.rr_requeue_position is a perfbench LAYERS target.
 from .policies import PolicyConfig, plan_cycle_smdrr, rr_requeue_position  # noqa: F401
-from .workload import MAX_SEGMENTS, Workload, WorkloadError
+from .workload import MAX_SEGMENTS, ProcessSpec, Workload, WorkloadError
 
 class Segment(NamedTuple):
     """One contiguous occupancy of the CPU; occupant None means idle."""
@@ -66,11 +67,13 @@ class Segments(Sequence):
 
 
 class Trace(NamedTuple):
-    """Simulation output: segments as columns, plus per-process outcomes.
+    """Simulation output: segments and per-process results as columns.
 
     Segment k runs occupants[k] (a pid, or None for idle) from ends[k - 1]
-    (start for k = 0) to ends[k].  quanta holds the quantum chosen at each
-    SMDRR cycle (one entry for fixed-quantum RR), or None without quanta.
+    (start for k = 0) to ends[k].  specs[i], the workload's i-th process,
+    first runs at first_starts[i] and completes at completions[i].  quanta
+    holds the quantum chosen at each SMDRR cycle (one entry for
+    fixed-quantum RR), or None without quanta.
     """
 
     workload_name: str
@@ -78,8 +81,15 @@ class Trace(NamedTuple):
     start: int
     occupants: tuple[str | None, ...]
     ends: tuple[int, ...]
-    processes: tuple[ProcessOutcome, ...]
+    specs: tuple[ProcessSpec, ...]
+    first_starts: tuple[int, ...]
+    completions: tuple[int, ...]
     quanta: tuple[int, ...] | None = None
+
+    @property
+    def processes(self) -> tuple[ProcessOutcome, ...]:
+        """Per-process outcomes in submission order, built anew on each access."""
+        return tuple([tuple.__new__(ProcessOutcome, row) for row in self.outcomes()])
 
     @property
     def segments(self) -> Segments:
@@ -92,6 +102,10 @@ class Trace(NamedTuple):
     def intervals(self) -> Iterator[tuple[str | None, int, int]]:
         """Each segment as a plain (occupant, start, end) tuple."""
         return zip(self.occupants, chain((self.start,), self.ends), self.ends)
+
+    def outcomes(self) -> Iterator[tuple[str, int, int, int, int]]:
+        """Each process as a plain (pid, arrival, burst, first_start, completion) tuple."""
+        return map(add, self.specs, zip(self.first_starts, self.completions))
 
     def to_dict(self) -> dict:
         segments = [{"idle": True, "start": start, "end": end} if occupant is None else
@@ -110,7 +124,8 @@ def simulate(workload: Workload, policy: PolicyConfig) -> Trace:
     A process's rank is its place in one stable sort on arrival, that is,
     in (arrival, submission index) order.  The loop keeps every
     per-process field in a list indexed by rank, and every ordering key
-    below ends on the rank, so this sort is the only tie rule.
+    below ends on the rank, so this sort is the only tie rule.  At the end,
+    first starts and completions are scattered into submission order.
 
     One loop serves every policy.  It owns the clock, a cursor over the
     ranks and the idle segments, and runs rounds over a snapshot of the
@@ -198,9 +213,9 @@ def simulate(workload: Workload, policy: PolicyConfig) -> Trace:
                 admit(cursor)
                 cursor += 1
             ready.append(rank)
-    outcomes = [None] * total
+    first_starts, completions = [0] * total, [0] * total
     for rank, i in enumerate(order):
-        pid, arrived, burst = specs[i]
-        outcomes[i] = ProcessOutcome(pid, arrived, burst, first_start[rank], completion[rank])
+        first_starts[i], completions[i] = first_start[rank], completion[rank]
     return Trace(workload.name, policy.spelling(), start, tuple(occupants), tuple(ends),
-                 tuple(outcomes), tuple(quanta) if quanta is not None else None)
+                 specs, tuple(first_starts), tuple(completions),
+                 tuple(quanta) if quanta is not None else None)

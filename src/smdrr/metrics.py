@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .engine import Trace
@@ -36,17 +37,17 @@ class ProcessMetrics(NamedTuple):
 
 
 class MetricsReport(NamedTuple):
-    """Per-process and aggregate metrics for one trace.
+    """Aggregate metrics for one trace, and its per-process metrics on demand.
 
     Aggregates are exact rationals; decimal rendering happens only at the
     report boundary (format_decimal) so table values like 85.75 or 140.4
     match exactly rather than within float epsilon.  Field order is output
-    order: every field after processes is an aggregate, and to_dict, the
-    CLI's text summary and its JSON list them in this order.
+    order: every field after trace is an aggregate, and to_dict, the CLI's
+    text summary and its JSON list them in this order.
     """
 
     convention: Convention
-    processes: tuple[ProcessMetrics, ...]
+    trace: Trace
     att: Fraction
     awt: Fraction
     cs: int
@@ -54,6 +55,18 @@ class MetricsReport(NamedTuple):
     makespan: int
     cpu_utilization: Fraction
     throughput: Fraction
+
+    @property
+    def processes(self) -> tuple[ProcessMetrics, ...]:
+        """Per-process metrics in submission order, built anew on each access."""
+        return tuple(map(ProcessMetrics._make, self.rows()))
+
+    def rows(self) -> Iterator[tuple[str, int, int, int]]:
+        """Each process as a plain (pid, turnaround, waiting, response) tuple."""
+        paper_zero = self.convention is Convention.PAPER_ZERO
+        for pid, arrival, burst, first_start, completion in self.trace.outcomes():
+            turnaround = completion - (0 if paper_zero else arrival)
+            yield pid, turnaround, turnaround - burst, first_start - arrival
 
     def aggregates(self) -> Iterator[tuple[str, str | int]]:
         """(name, value) of each aggregate field, in field order: each
@@ -70,30 +83,23 @@ class MetricsReport(NamedTuple):
 
 
 def compute_metrics(trace: Trace, convention: Convention = Convention.STANDARD) -> MetricsReport:
-    """Compute per-process and aggregate metrics for a trace."""
-    per_process = []
-    turnaround_sum = waiting_sum = response_sum = 0
-    paper_zero = convention is Convention.PAPER_ZERO
-    for p in trace.processes:
-        turnaround = p.completion - (0 if paper_zero else p.arrival)
-        waiting = turnaround - p.burst
-        response = p.first_start - p.arrival
-        per_process.append(ProcessMetrics(p.pid, turnaround, waiting, response))
-        turnaround_sum += turnaround
-        waiting_sum += waiting
-        response_sum += response
-    n = len(per_process)
+    """Aggregate metrics from integer sums over the trace's columns: Σwaiting =
+    Σturnaround − Σburst, and Σresponse = Σfirst_start − Σarrival."""
+    specs, n = trace.specs, len(trace.specs)
     makespan, idle = trace.makespan, trace.occupants.count(None)
     if idle == len(trace.ends):
         raise ValueError("trace has no process segments")
     idle_time = idle and sum(e - s for o, s, e in trace.intervals() if o is None)
+    arrival_sum = sum(map(itemgetter(1), specs))
+    turnaround_sum = sum(trace.completions) - (
+        0 if convention is Convention.PAPER_ZERO else arrival_sum)
     return MetricsReport(
         convention=convention,
-        processes=tuple(per_process),
+        trace=trace,
         att=Fraction(turnaround_sum, n),
-        awt=Fraction(waiting_sum, n),
+        awt=Fraction(turnaround_sum - sum(map(itemgetter(2), specs)), n),
         cs=len(trace.ends) - idle - 1,
-        avg_response=Fraction(response_sum, n),
+        avg_response=Fraction(sum(trace.first_starts) - arrival_sum, n),
         makespan=makespan,
         cpu_utilization=Fraction(makespan - idle_time, makespan),
         throughput=Fraction(n, makespan),

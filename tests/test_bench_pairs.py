@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py's per-metric verdict against the parent checkout.
+"""tools/bench_pairs.py's per-metric verdict against the parent checkout,
+and its per-layer ratios.
 
 within_bound applies BENCHMARK.json's rule: the change's median may be
 worse than the parent's by at most the metric's relative bound, in the
@@ -52,3 +53,12 @@ def test_resolved(parent, change, better, resolved):
     result = bench_pairs.compare(bench_pairs.summary(parent), bench_pairs.summary(change),
                                  better, 0.25)
     assert result["resolved"] is resolved
+
+
+def test_layer_ratios_cover_the_layers_both_sides_report():
+    parent = {"metrics.compute_s": 0.004, "engine.to_dict_s": 0.0, "cli.main_s": 0.010,
+              "workload.parse_s": 0.002}
+    change = {"metrics.compute_s": 0.001, "engine.to_dict_s": 0.0, "cli.main_s": 0.008,
+              "workload.generate_s": 0.003}
+    assert bench_pairs.layer_ratios(parent, change) == {
+        "cli.main_s": 0.8, "engine.to_dict_s": None, "metrics.compute_s": 0.25}

@@ -7,6 +7,7 @@ import pytest
 import smdrr.cli
 import smdrr.engine
 import smdrr.errata
+import smdrr.metrics
 import smdrr.workload
 from goldens import EXPECTED_ERRATA
 from smdrr.cli import main
@@ -168,6 +169,26 @@ def test_compare_four_policies(capsys):
     assert code == 0
     assert [line.split()[0] for line in out.splitlines()] == \
         ["Algorithm", "FCFS", "SJF", "RR", "SMDRR"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("compare", "--policy", "smdrr", "--policy", "rr:20", "--policy", "fcfs",
+     "--policy", "sjf", "--format", "csv"),
+    ("run", "--policy", "smdrr", "--convention", "paper", "--format", "csv"),
+    ("run", "--policy", "fcfs", "--format", "json", "--gantt", "svg"),
+])
+def test_table_and_json_outputs_build_no_per_process_record(capsys, monkeypatch, argv):
+    # The aggregates are sums over the trace's columns and the JSON writer
+    # fills its templates from plain tuples, so neither record tuple is built.
+    def unread(self):
+        raise AssertionError(f"{type(self).__name__}.processes was read")
+
+    monkeypatch.setattr(smdrr.engine.Trace, "processes", property(unread))
+    monkeypatch.setattr(smdrr.metrics.MetricsReport, "processes", property(unread))
+    code, out, err = run_cli(capsys, *argv, "--n", "40", "--burst", "1..50",
+                             "--arrival", "0..900", "--seed", "5")
+    assert (code, err) == (0, "")
+    assert out
 
 
 def test_generate_csv_all_zero_arrivals(capsys):

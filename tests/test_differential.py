@@ -10,12 +10,14 @@ order, so ties on arrival fall back to submission index.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from smdrr.engine import simulate
+from smdrr.engine import ProcessOutcome, simulate
+from smdrr.metrics import Convention, ProcessMetrics, compute_metrics
 from test_acceptance import assert_conserved_and_contiguous
 from smdrr.policies import parse_policy
 from smdrr.workload import ProcessSpec, Workload, paper_case
@@ -36,6 +38,32 @@ def follow(spelling, triples):
     return oracle.sjf_trace(triples), None
 
 
+def outcomes_from_segments(workload, trace):
+    """Each process's record rebuilt from the segments: its first start and last end."""
+    first, last = {}, {}
+    for pid, start, end in trace.intervals():
+        if pid is not None:
+            first.setdefault(pid, start)
+            last[pid] = end
+    return tuple(ProcessOutcome(*p, first[p.pid], last[p.pid]) for p in workload.processes)
+
+
+def assert_sums_are_record_means(trace, convention):
+    """compute_metrics' sum-based means against the means of per-record values."""
+    report = compute_metrics(trace, convention)
+    paper_zero = convention is Convention.PAPER_ZERO
+    records = []
+    for p in trace.processes:
+        turnaround = p.completion - (0 if paper_zero else p.arrival)
+        records.append(ProcessMetrics(p.pid, turnaround, turnaround - p.burst,
+                                      p.first_start - p.arrival))
+    assert list(report.processes) == records
+    n = len(records)
+    assert report.att == Fraction(sum(m.turnaround for m in records), n)
+    assert report.awt == Fraction(sum(m.waiting for m in records), n)
+    assert report.avg_response == Fraction(sum(m.response for m in records), n)
+
+
 def assert_engine_follows(triples):
     workload = Workload("diff", tuple(ProcessSpec(*t) for t in triples))
     for spelling in POLICIES:
@@ -43,6 +71,9 @@ def assert_engine_follows(triples):
         segments, quanta = follow(spelling, triples)
         assert list(trace.segments) == segments, spelling
         assert (None if trace.quanta is None else list(trace.quanta)) == quanta, spelling
+        assert trace.processes == outcomes_from_segments(workload, trace), spelling
+        for convention in Convention:
+            assert_sums_are_record_means(trace, convention)
 
 
 def random_triples(rng, n, burst, spread):
@@ -66,9 +97,13 @@ def test_engine_follows_oracle_at_size(spread, burst, seed):
     burst_hi=st.sampled_from([1, 2, 5, 1000]),
     spread=st.sampled_from([0, 0.25, 1, 3]),
     seed=st.integers(0, 2**32),
+    grid=st.sampled_from([1, 40]),
 )
-def test_engine_follows_oracle_on_mixed_spreads(n, burst_hi, spread, seed):
-    assert_engine_follows(random_triples(random.Random(seed), n, (1, burst_hi), spread))
+def test_engine_follows_oracle_on_mixed_spreads(n, burst_hi, spread, seed, grid):
+    # Submission order is shuffled against arrival order; a coarse grid
+    # gives many equal arrivals after 0 with idle gaps between them.
+    triples = random_triples(random.Random(seed), n, (1, burst_hi), spread)
+    assert_engine_follows([(pid, a - a % grid, b) for pid, a, b in triples])
 
 
 # Every workload of 1 to 3 processes with bursts 1..6 and arrivals 0..2,

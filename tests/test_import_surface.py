@@ -13,7 +13,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "smdrr"
 EXPECTED = {
     "__future__", "argparse", "collections", "csv", "enum", "fractions",
-    "heapq", "io", "itertools", "json", "math", "pathlib", "re", "sys", "typing",
+    "heapq", "io", "itertools", "json", "math", "operator", "pathlib", "re", "sys",
+    "typing",
 }
 
 

@@ -62,7 +62,7 @@ def test_context_switches_invariant_under_pid_relabeling():
 
 
 def test_metrics_reject_a_trace_without_process_segments():
-    trace = Trace("idle", "fcfs", 0, (None,), (5,), ())
+    trace = Trace("idle", "fcfs", 0, (None,), (5,), (), (), ())
     with pytest.raises(ValueError, match="trace has no process segments"):
         compute_metrics(trace)
 

@@ -3,24 +3,25 @@
     python3 tools/bench_pairs.py --parent DIR --change DIR [--seed N] > BENCH_<n>.json
 
 Stdlib only.  Each checkout's own ``perfbench/run.py`` is run on every
-workload in BENCHMARK.json, ten times untraced and once traced, for the
-``run_seconds`` BENCHMARK.json sets, with the two checkouts interleaved
-run by run (and alternating which goes first), so host drift falls on
-both alike.  Prints one JSON object: per checkout
-and workload, each end-to-end metric's median, quartiles, relative
-spread and values, and each per-layer metric's median; then the change's
-median over the parent's median, the pairs the change won and whether
-the medians differ by more than the parent's quartile distance, per
-end-to-end metric, with whether that median stays within the metric's
-BENCHMARK.json bound and whether the runs resolve it (neither side's
-relative quartile spread exceeds the bound, or every change run beats
-every parent run); and ``tools/scale_sweep.py --json`` for both
-checkouts, run in SWEEP_ROUNDS rounds that alternate which checkout
-goes first, keeping each cell's fastest run; and one
-``tools/gc_split.py`` run of GC_SPLIT_COMMANDS commands per checkout and
-workload, which says whether each side's collections run in the command
-or in the reference work.  Every run must report ``correct: true``, or
-the script stops.
+workload in BENCHMARK.json, ten times untraced and three times traced,
+for the ``run_seconds`` BENCHMARK.json sets, with the two checkouts
+interleaved run by run (and alternating which goes first), so host drift
+falls on both alike.  Prints one JSON object: per checkout and workload,
+each end-to-end metric's median, quartiles, relative spread and values,
+and each per-layer metric's median; then the change's median over the
+parent's median, the pairs the change won and whether the medians differ
+by more than the parent's quartile distance, per end-to-end metric, with
+whether that median stays within the metric's BENCHMARK.json bound and
+whether the runs resolve it (neither side's relative quartile spread
+exceeds the bound, or every change run beats every parent run); then,
+per workload, the change's per-layer median over the parent's for each
+layer both sides report, which shows where a saving sits; and
+``tools/scale_sweep.py --json`` for both checkouts, run in SWEEP_ROUNDS
+rounds that alternate which checkout goes first, keeping each cell's
+fastest run; and one ``tools/gc_split.py`` run of GC_SPLIT_COMMANDS
+commands per checkout and workload, which says whether each side's
+collections run in the command or in the reference work.  Every run must
+report ``correct: true``, or the script stops.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 RUNS = 10  # untraced runs per workload and checkout
-TRACED_RUNS = 1
+TRACED_RUNS = 3  # traced runs per workload and checkout, in the first rounds
 SWEEP_ROUNDS = 3  # interleaved scale sweeps per checkout
 GC_SPLIT_COMMANDS = 12
 
@@ -79,6 +80,13 @@ def compare(parent: dict, change: dict, better: str, bound: float) -> dict:
         "beyond_parent_iqr": sign * (parent["median"] - change["median"])
         > parent["q3"] - parent["q1"],
     }
+
+
+def layer_ratios(parent: dict, change: dict) -> dict:
+    """Change over parent per-layer median, for each layer both sides report:
+    where a saving sits.  A layer whose parent median is 0 has ratio None."""
+    return {n: change[n] / parent[n] if parent[n] else None
+            for n in sorted(parent.keys() & change.keys())}
 
 
 def record(roots: dict[str, Path], workloads: list[str], seed: int, seconds: int) -> dict:
@@ -164,6 +172,11 @@ def main(argv: list[str] | None = None) -> int:
         w: {n: compare(result["parent"][w]["end_to_end"][n], s,
                        declared_e2e[n]["better"], declared_e2e[n]["bound"])
             for n, s in result["change"][w]["end_to_end"].items()}
+        for w in workloads
+    }
+    result["layer_change_over_parent"] = {
+        w: layer_ratios(result["parent"][w]["per_layer_median"],
+                        result["change"][w]["per_layer_median"])
         for w in workloads
     }
     result["scale_sweep"] = sweep(roots)
