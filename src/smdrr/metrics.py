@@ -86,7 +86,7 @@ def compute_metrics(trace: Trace, convention: Convention = Convention.STANDARD) 
     """Aggregate metrics from integer sums over the trace's columns: Σwaiting =
     Σturnaround − Σburst, and Σresponse = Σfirst_start − Σarrival."""
     specs, n = trace.specs, len(trace.specs)
-    makespan, idle = trace.makespan, trace.occupants.count(None)
+    makespan, idle = trace.makespan, sum(1 for o in trace.occupants if o is None)
     if idle == len(trace.ends):
         raise ValueError("trace has no process segments")
     idle_time = idle and sum(e - s for o, s, e in trace.intervals() if o is None)

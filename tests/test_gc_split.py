@@ -27,3 +27,6 @@ def test_gc_split_reports_each_phase_and_generation():
     # the reference work alone allocates enough to run young collections
     assert result["reference"]["gen0"]["collections"] > 0
     assert set(result["full_collections_in"]) <= {"command", "reference"}
+    # the peak resident set in MB after each counted command: positive, never falling
+    walk = result["peak_rss_walk"]
+    assert len(walk) == 2 and 0 < walk[0] <= walk[1]

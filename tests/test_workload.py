@@ -1,6 +1,7 @@
 import json
 import re
 import string
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -337,3 +338,122 @@ def test_process_cap_is_inclusive_for_parsed_files(monkeypatch):
     assert len(parse_workload(csv_text, "csv").processes) == 3
     with pytest.raises(WorkloadError, match="^line 5: more than 3 processes$"):
         parse_workload(csv_text + "P3,0,1\n", "csv")
+
+
+# Well-formed CSV takes a fast path (one row regex, one check of the whole
+# batch); any text outside its subset goes to the row-by-row parser.  Whenever
+# the fast path accepts, the row-by-row parser accepts the same workload, and
+# every error is the row-by-row parser's own.
+def assert_csv_paths_agree(text):
+    fast = smdrr.workload._parse_csv_fast(text, "w")
+    try:
+        slow = smdrr.workload._parse_csv_rows(text, "w")
+    except WorkloadError as exc:
+        assert fast is None
+        with pytest.raises(WorkloadError) as caught:
+            parse_workload(text, "csv", name="w")
+        assert str(caught.value) == str(exc)
+    else:
+        assert fast is None or fast == slow
+        assert parse_workload(text, "csv", name="w") == slow
+    return fast
+
+
+HEAD = "pid,arrival,burst\n"
+
+
+@pytest.mark.parametrize("text, fast", [
+    (HEAD + "P1,0,5\nP2,3,1\n", True),
+    (HEAD + f"A,{MAX_TIME},{MAX_TIME}\n", True),
+    (HEAD + "A,007,0012\n", True),  # leading zeros read as today
+    (HEAD + "A,0,1\n" + "B" * 64 + ",0,1\n", True),
+    (HEAD + "P1,0,5\r\nP2,3,1\r\n", False),
+    (HEAD + "P1,0,5\n\nP2,3,1\n", False),
+    (HEAD + "P1,0,5\nP2,3,1", False),  # no final newline
+    (HEAD + "P1, 0,5\n", False),
+    (HEAD + "P1,0,5\t\n", False),
+    (" " + HEAD + "P1,0,5\n", False),
+    ("pid,arrival,burst \nP1,0,5\n", False),
+    (HEAD + "P1,-0,5\n", False),
+    (HEAD + "P1,0," + "9" * 13 + "\n", False),
+    (HEAD + "P1,0," + "1" + "0" * 13 + "\n", False),
+    (HEAD + f"P1,{MAX_TIME + 1},5\n", False),
+    (HEAD + "P1,0,0\n", False),
+    (HEAD + "P1,١,5\n", False),
+    (HEAD + "P1,0,²\n", False),
+    (HEAD + "P1,0,5\nP2,0,5\nP1,0,5\n", False),
+    (HEAD + "A" * 65 + ",0,5\n", False),
+    (HEAD + "x y,1,2\n", False),  # the whole line, not its tail, is the row
+    (HEAD + 'P"1,0,5\n', False),
+    (HEAD + "--,0,5\n", False),
+    (HEAD + "P1,0\n", False),
+    (HEAD + "P1,0,5,7\n", False),
+    (HEAD, False),
+    ("", False),
+])
+def test_csv_fast_path_agrees_with_the_row_by_row_parser(text, fast):
+    assert (assert_csv_paths_agree(text) is not None) is fast
+
+
+ODD_PIDS = ["", "a" * 64, "a" * 65, "x y", 'P"1', "--", "é", "P١", "P1 ", "\tP1"]
+ODD_NUMBERS = ["0", "007", "-0", "-1", "1.5", "", " 3", "4 ", "١", "²", str(MAX_TIME),
+               str(MAX_TIME + 1), "9" * 13, "1" + "0" * 13, "9" * 14]
+
+
+@st.composite
+def mutated_csv_texts(draw):
+    """A well-formed CSV text with up to three mutations of its lines."""
+    rows = [[f"P{i}", str(draw(st.integers(0, 99))), str(draw(st.integers(1, 99)))]
+            for i in range(draw(st.integers(1, 5)))]
+    header, line_end, final = "pid,arrival,burst", "\n", True
+    for mutation in draw(st.lists(st.sampled_from(
+            ["crlf", "blank", "final", "space", "header", "pid", "number", "duplicate",
+             "cells"]), max_size=3)):
+        row = draw(st.sampled_from(rows)) if rows else None
+        if mutation == "crlf":
+            line_end = "\r\n"
+        elif mutation == "blank":
+            rows.insert(draw(st.integers(0, len(rows))), [draw(st.sampled_from(["", " "]))])
+        elif mutation == "final":
+            final = False
+        elif mutation == "header":
+            header = draw(st.sampled_from([" ", "\t", ""])) + header + draw(
+                st.sampled_from([" ", "\t", ""]))
+        elif row is None or len(row) < 3:
+            continue
+        elif mutation == "space":
+            cell = draw(st.integers(0, 2))
+            row[cell] = draw(st.sampled_from([" ", "\t"])) + row[cell]
+        elif mutation == "pid":
+            row[0] = draw(st.sampled_from(ODD_PIDS))
+        elif mutation == "number":
+            row[draw(st.integers(1, 2))] = draw(st.sampled_from(ODD_NUMBERS))
+        elif mutation == "duplicate":
+            row[0] = draw(st.sampled_from(rows))[0]
+        elif mutation == "cells":
+            row[:] = row[:2] if draw(st.booleans()) else row + ["7"]
+    text = line_end.join([header, *(",".join(row) for row in rows)])
+    return text + line_end if final else text
+
+
+@given(mutated_csv_texts())
+def test_csv_fast_path_agrees_on_mutated_texts(text):
+    assert_csv_paths_agree(text)
+
+
+def test_a_large_csv_takes_the_fast_path_in_no_more_memory_than_row_by_row(monkeypatch):
+    text = HEAD + "".join(f"P{i},{i * 7919 % 10**6},{i % 1000 + 1}\n" for i in range(10**5))
+
+    def peak(parse):
+        tracemalloc.start()
+        try:
+            workload = parse()
+            return workload, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    slow, slow_peak = peak(lambda: smdrr.workload._parse_csv_rows(text, "w"))
+    monkeypatch.setattr(smdrr.workload, "_parse_csv_rows", None)  # no way round the fast path
+    fast, fast_peak = peak(lambda: parse_workload(text, "csv", name="w"))
+    assert fast == slow
+    assert fast_peak <= slow_peak

@@ -18,8 +18,13 @@ other moves ``cmd_p50_ref`` whether or not the command got faster.
 Prints one JSON object: for the command and the reference phase, and
 for each generation, the collections and the milliseconds they took per
 counted command; and ``full_collections_in``, the phases in which
-generation-2 collections ran.  The loop's own ``gc.collect()`` is in
-neither phase.
+generation-2 collections ran; and ``peak_rss_walk``, the process's peak
+resident set (``ru_maxrss``, in MB) right after each counted command.
+The loop's own ``gc.collect()`` is in neither phase.
+
+Two checkouts' walks, compared command by command, show whether a
+``peak_rss_mb`` difference between them is one step to another heap
+plateau or memory that every command holds.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import resource
 import sys
 import tempfile
 import time
@@ -69,6 +75,7 @@ def split(src: Path, workload: str, seed: int, commands: int) -> dict:
     from smdrr import cli
 
     hook = Split()
+    walk = []
     with tempfile.TemporaryDirectory() as workdir:
         argv, out = workloads.WORKLOADS[workload].prepare(seed, Path(workdir))
         gc.callbacks.append(hook)
@@ -79,6 +86,9 @@ def split(src: Path, workload: str, seed: int, commands: int) -> dict:
                 gc.collect()
                 hook.phase = "command" if counted else None
                 code, _, _ = workloads.invoke(cli.main, argv, out)
+                hook.phase = None  # the reading below is in neither phase
+                if counted:
+                    walk.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
                 hook.phase = "reference" if counted else None
                 worker.reference_work()
                 hook.phase = None
@@ -91,6 +101,7 @@ def split(src: Path, workload: str, seed: int, commands: int) -> dict:
         "workload": workload, "seed": seed, "commands": commands,
         **phases,
         "full_collections_in": [p for p in PHASES if hook.collections[p][2]],
+        "peak_rss_walk": walk,
     }
 
 
