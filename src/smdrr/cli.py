@@ -267,7 +267,8 @@ def main(argv: list[str] | None = None) -> int:
         # error leaves no --out file behind.
         _emit(args.command(args, args.parser), args.out)
     except (WorkloadError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if args.out or not isinstance(exc, BrokenPipeError):  # else stdout's reader stopped early
+            print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -9,7 +9,7 @@ stores each segment's occupant and end, and only the first start.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from itertools import chain
 from operator import add
 from typing import NamedTuple
@@ -36,36 +36,6 @@ class ProcessOutcome(NamedTuple):
     completion: int
 
 
-class Segments(Sequence):
-    """A trace's segments as a read-only Sequence of Segment for library
-    callers: len builds nothing, an index or an iteration step builds one
-    Segment, a slice builds a tuple of the selected ones, and two views
-    are equal when their traces' columns are."""
-
-    __slots__ = ("_trace",)
-
-    def __init__(self, trace: Trace) -> None:
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return len(self._trace.ends)
-
-    def __getitem__(self, index: int | slice) -> Segment | tuple[Segment, ...]:
-        _, _, start, occupants, ends, *_ = self._trace
-        picked = range(len(ends))[index]  # IndexError out of range, negatives from the end
-        if isinstance(index, slice):  # builds the selected segments only
-            return tuple(map(self.__getitem__, picked))
-        return Segment(occupants[picked], ends[picked - 1] if picked else start, ends[picked])
-
-    def __iter__(self) -> Iterator[Segment]:
-        return map(Segment._make, self._trace.intervals())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Segments):
-            return NotImplemented
-        return self._trace[2:5] == other._trace[2:5]  # start, occupants, ends
-
-
 class Trace(NamedTuple):
     """Simulation output: segments and per-process results as columns.
 
@@ -89,11 +59,12 @@ class Trace(NamedTuple):
     @property
     def processes(self) -> tuple[ProcessOutcome, ...]:
         """Per-process outcomes in submission order, built anew on each access."""
-        return tuple([tuple.__new__(ProcessOutcome, row) for row in self.outcomes()])
+        return tuple(map(ProcessOutcome._make, self.outcomes()))
 
     @property
-    def segments(self) -> Segments:
-        return Segments(self)
+    def segments(self) -> tuple[Segment, ...]:
+        """The segments in time order, built anew on each access."""
+        return tuple(map(Segment._make, self.intervals()))
 
     @property
     def makespan(self) -> int:

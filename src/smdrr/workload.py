@@ -10,7 +10,7 @@ import json
 import re
 from collections import namedtuple
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 _INT_RE = re.compile(r"-?[0-9]+", re.ASCII)
 # Pids are written verbatim in CSV cells, SVG text, the ASCII lane and JSON
@@ -65,6 +65,8 @@ _CSV_HEADER = ",".join(ProcessSpec._fields)
 # One line of the CSV fast path: a strict subset of what the row-by-row parser
 # admits, with no space or sign, and 1 to 13 ASCII digits (MAX_TIME has 13) a number.
 _CSV_ROW_RE = re.compile(rf"^({_PID_RE.pattern}),([0-9]{{1,13}}),([0-9]{{1,13}})\n", re.M)
+# The line ends of str.splitlines(); "\r\n" comes first, so that it is one end.
+_LINE_END_RE = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
 class Workload(namedtuple("Workload", "name processes")):
@@ -165,17 +167,28 @@ def _parse_csv_fast(text: str, name: str) -> Workload | None:
                        in map(re.Match.groups, _CSV_ROW_RE.finditer(text, start))])
     if len(processes) != rows:  # some line is not a row
         return None
-    # by column, not zip(*processes), which holds an iterator per row
-    pids, arrivals, bursts = (list(map(itemgetter(i), processes)) for i in range(3))
-    if (max(map(len, pids)) > MAX_PID_LENGTH or len(set(pids)) != rows
-            or max(arrivals) > MAX_TIME or not 1 <= min(bursts) <= max(bursts) <= MAX_TIME):
+    # column by column, holding no column list: the row-by-row parser holds none
+    def column(i):
+        return map(itemgetter(i), processes)
+    if (max(map(len, column(0))) > MAX_PID_LENGTH or len(set(column(0))) != rows
+            or max(column(1)) > MAX_TIME or not 1 <= min(column(2)) <= max(column(2)) <= MAX_TIME):
         return None
     return new(Workload, (name, processes))
 
 
+def _lines(text: str) -> Iterator[str]:
+    """The lines of text.splitlines(), one at a time, so that an error stops the read."""
+    start = 0
+    for end in _LINE_END_RE.finditer(text):
+        yield text[start:end.start()]
+        start = end.end()
+    if start < len(text):
+        yield text[start:]
+
+
 def _parse_csv_rows(text: str, name: str) -> Workload:
     # Errors name the file's own line numbers; blank lines are skipped.
-    numbered = enumerate(text.splitlines(), start=1)
+    numbered = enumerate(_lines(text), start=1)
     lineno, header = next(((n, line) for n, line in numbered if line.strip()), (0, ""))
     if not header:
         raise WorkloadError("empty workload file")

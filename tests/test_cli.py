@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +120,30 @@ def test_run_out_into_missing_directory_is_data_error(tmp_path, capsys):
     assert err.startswith("error:")
     assert out == ""
     assert not target.parent.exists()
+
+
+def test_a_reader_that_stops_early_ends_the_run_quietly():
+    src = str(Path(smdrr.cli.__file__).resolve().parent.parent)
+    proc = subprocess.Popen([sys.executable, "-m", "smdrr.cli", "run", "--n", "2000",
+                             "--burst", "1..9", "--policy", "rr:1", "--format", "json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
+def test_a_broken_pipe_into_an_out_file_is_a_data_error(tmp_path, capsys, monkeypatch):
+    def broken(chunks, out):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(smdrr.cli, "_emit", broken)
+    argv = ("run", "--case", "1", "--policy", "smdrr", "--format", "json")
+    assert run_cli(capsys, *argv) == (1, "", "")
+    target = str(tmp_path / "fifo")
+    assert run_cli(capsys, *argv, "--out", target) == (1, "", "error: [Errno 32] Broken pipe\n")
 
 
 def test_run_workload_error_leaves_no_out_file(tmp_path, capsys):

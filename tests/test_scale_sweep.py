@@ -38,7 +38,7 @@ def test_a_cell_runs_unless_an_earlier_cell_of_its_row_went_over_the_budget(monk
 
     def simulate(generated, config):
         clock.now += COST[config.spelling(), generated.burst_max][generated.count]
-        return SimpleNamespace(segments=range(generated.count))
+        return SimpleNamespace(ends=range(generated.count))
 
     monkeypatch.setattr(smdrr.engine, "simulate", simulate)
     monkeypatch.setattr(smdrr.workload, "generate_workload", lambda generated: generated)

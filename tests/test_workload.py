@@ -457,3 +457,37 @@ def test_a_large_csv_takes_the_fast_path_in_no_more_memory_than_row_by_row(monke
     fast, fast_peak = peak(lambda: parse_workload(text, "csv", name="w"))
     assert fast == slow
     assert fast_peak <= slow_peak
+
+
+# The line ends of str.splitlines(); "\r\n" is one.  "\x1f" is not a line end.
+LINE_ENDS = ["\r\n", "\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@given(st.lists(st.sampled_from(["a", ",", " ", "\x1f", *LINE_ENDS])).map("".join))
+@example("a\r\nb\r\n")
+@example("a\nb\n")
+@example("a\rb\r")
+@example("a\vb\v")
+@example("a\fb\f")
+@example("a\x1cb\x1c")
+@example("a\x1db\x1d")
+@example("a\x1eb\x1e")
+@example("a\x85b\x85")
+@example("a\u2028b\u2028")
+@example("a\u2029b\u2029")
+@example("a\n\nb\x1fc")  # no final line end
+def test_csv_lines_are_those_of_splitlines(text):
+    assert list(smdrr.workload._lines(text)) == text.splitlines()
+
+
+def test_the_process_cap_stops_the_read_of_a_long_csv(monkeypatch):
+    monkeypatch.setattr(smdrr.workload, "MAX_PROCESSES", 3)
+    text = "pid,arrival,burst\r\n" + "".join(f"P{i},0,1\r\n" for i in range(10**5))
+    tracemalloc.start()
+    try:
+        with pytest.raises(WorkloadError, match="^line 5: more than 3 processes$"):
+            parse_workload(text, "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # a few lines, not a list of 10**5

@@ -75,7 +75,7 @@ def sweep() -> dict:
                 trace = simulate(workload, config)
                 elapsed = time.perf_counter() - t0
                 best, spent, runs = min(best, elapsed), spent + elapsed, runs + 1
-            segments = len(trace.segments)
+            segments = len(trace.ends)
             cell.update(seconds=best, segments=segments, runs=runs,
                         us_per_segment=best / segments * 1e6)
             if best > BUDGET_S:
