@@ -14,7 +14,7 @@ from pathlib import Path
 from .engine import ProcessOutcome, Trace, simulate
 from .errata import compute_errata, replay_cases
 from .metrics import Convention, MetricsReport, ProcessMetrics, compute_metrics
-from .policies import PolicyConfig, PolicyError, parse_policy
+from .policies import PolicyError, parse_policy
 from .report import _table_lines, comparison_report, render_gantt_ascii, render_gantt_svg
 from .workload import (
     _parse_int,
@@ -54,9 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
     generator.add_argument("--n", type=_int, help="generate: process count")
     generator.add_argument("--burst", type=_range, metavar="A..B",
                            help="generate: burst range (ms)")
-    generator.add_argument("--arrival", type=_range, metavar="A..B", default=(0, 0),
+    generator.add_argument("--arrival", type=_range, metavar="A..B",
                            help="generate: arrival range (ms), default 0..0")
-    generator.add_argument("--seed", type=_int, default=0, help="generate: 64-bit seed")
+    generator.add_argument("--seed", type=_int, help="generate: 64-bit seed")
     runs = argparse.ArgumentParser(add_help=False)
     runs.add_argument("--policy", action="append", default=[], metavar="SPEC",
                       help="smdrr | rr:<quantum> | fcfs | sjf (repeatable)")
@@ -92,7 +92,7 @@ def _generator_spec(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     if args.burst is None:
         parser.error("generator needs --burst A..B")
     try:
-        return GeneratorSpec(args.n, *args.burst, *args.arrival, args.seed)
+        return GeneratorSpec(args.n, *args.burst, *(args.arrival or (0, 0)), args.seed or 0)
     except WorkloadError as exc:
         parser.error(str(exc))
 
@@ -101,6 +101,8 @@ def _load_workload(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     sources = [args.workload is not None, args.case is not None, args.n is not None]
     if sum(sources) != 1:
         parser.error("choose exactly one workload source: --workload, --case, or --n/--burst")
+    if args.n is None and (args.burst, args.arrival, args.seed) != (None, None, None):
+        parser.error("--burst, --arrival and --seed need --n")
     if args.case is not None:
         return paper_case(args.case)
     if args.n is not None:
@@ -115,7 +117,7 @@ def _load_workload(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 
 def _runs(args: argparse.Namespace, parser: argparse.ArgumentParser, least: int,
-          too_few: str) -> list[tuple[PolicyConfig, Trace, MetricsReport]]:
+          too_few: str) -> list[MetricsReport]:
     """Each --policy simulated over the workload, with its metrics."""
     try:
         policies = [parse_policy(spec) for spec in args.policy]
@@ -125,8 +127,7 @@ def _runs(args: argparse.Namespace, parser: argparse.ArgumentParser, least: int,
         parser.error(too_few)
     workload = _load_workload(args, parser)
     convention = Convention(args.convention)
-    traces = [simulate(workload, config) for config in policies]
-    return [(p, t, compute_metrics(t, convention)) for p, t in zip(policies, traces)]
+    return [compute_metrics(simulate(workload, config), convention) for config in policies]
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
@@ -138,12 +139,13 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _run_text(policy: PolicyConfig, trace: Trace, report: MetricsReport,
-              gantt: str | None) -> str:
+def _run_text(report: MetricsReport, gantt: str | None) -> str:
+    trace = report.trace
     name = trace.workload_name
     if not name.isprintable():  # a line break would split the header
         name = json_quote(name)
-    lines = [f"== {policy.label} on {name} (convention: {report.convention.value}) =="]
+    label = parse_policy(trace.policy).label
+    lines = [f"== {label} on {name} (convention: {report.convention.value}) =="]
     table = [ProcessOutcome._fields + ProcessMetrics._fields[1:]]
     table += [tuple(map(str, outcome + pm[1:]))
               for outcome, pm in zip(trace.outcomes(), report.rows())]
@@ -193,13 +195,13 @@ def _list(items: list[str]) -> str:
     return "[\n        " + ",\n        ".join(items) + "\n      ]"
 
 
-def _run_json(runs: list[tuple[PolicyConfig, Trace, MetricsReport]],
-              gantt_kind: str | None) -> Iterator[str]:
+def _run_json(reports: list[MetricsReport], gantt_kind: str | None) -> Iterator[str]:
     """The run documents, byte for byte as json.dumps([...], indent=2) + "\\n",
     one chunk per record list."""
     yield "["
-    for i, (policy, trace, report) in enumerate(runs):
-        yield (f'{"," if i else ""}\n  {{\n    "policy": {json_quote(policy.spelling())},'
+    for i, report in enumerate(reports):
+        trace = report.trace
+        yield (f'{"," if i else ""}\n  {{\n    "policy": {json_quote(trace.policy)},'
                f'\n    "trace": {{\n      "workload": {json_quote(trace.workload_name)},'
                f'\n      "policy": {json_quote(trace.policy)},\n      "segments": ')
         yield _list([_SEGMENT % s if s[0] is not None else _IDLE % s[1:]
@@ -224,20 +226,18 @@ def _run_json(runs: list[tuple[PolicyConfig, Trace, MetricsReport]],
 def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Iterable[str]:
     if args.gantt and args.format == "csv":
         parser.error("--gantt requires --format text or json")
-    runs = _runs(args, parser, 1, "run needs at least one --policy")
+    reports = _runs(args, parser, 1, "run needs at least one --policy")
     if args.format == "json":
-        return _run_json(runs, args.gantt)
+        return _run_json(reports, args.gantt)
     if args.format == "csv":
-        return [comparison_report(runs, "csv")]
-    return ["\n".join([
-        _run_text(policy, trace, report, _render_gantt(trace, args.gantt))
-        for policy, trace, report in runs
-    ])]
+        return [comparison_report(reports, "csv")]
+    return ["\n".join([_run_text(report, _render_gantt(report.trace, args.gantt))
+                       for report in reports])]
 
 
 def cmd_compare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Iterable[str]:
-    runs = _runs(args, parser, 2, "compare needs at least two --policy options")
-    return [comparison_report(runs, args.format)]
+    reports = _runs(args, parser, 2, "compare needs at least two --policy options")
+    return [comparison_report(reports, args.format)]
 
 
 def cmd_generate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Iterable[str]:
@@ -248,8 +248,8 @@ def cmd_generate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> I
 
 def cmd_paper_cases(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Iterable[str]:
     replayed = replay_cases()
-    chunks = [f"[{runs[0][1].workload_name}]\n" + comparison_report(runs, "csv")
-              for runs in replayed.values()]
+    chunks = [f"[{reports[0].trace.workload_name}]\n" + comparison_report(reports, "csv")
+              for reports in replayed.values()]
     errata = [e.describe() for e in compute_errata(replayed)] or ["none"]
     chunks.append("\n".join(["errata (published vs computed):", *errata]) + "\n")
     return ["\n".join(chunks)]

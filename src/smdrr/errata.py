@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .engine import Trace, simulate
+from .engine import simulate
 from .metrics import Convention, MetricsReport, compute_metrics
 from .policies import PolicyConfig
 from .report import COLUMNS, comparison_rows
@@ -50,25 +50,19 @@ class Erratum(NamedTuple):
         )
 
 
-def replay_cases() -> dict[int, list[tuple[PolicyConfig, Trace, MetricsReport]]]:
+def replay_cases() -> dict[int, list[MetricsReport]]:
     """Replay all four cases under RR:20 and SMDRR, zero-referenced."""
     policies = (PolicyConfig("rr", FIXED_RR_QUANTUM), PolicyConfig("smdrr"))
-    replayed = {}
-    for case_id in CASE_IDS:
-        workload = paper_case(case_id)
-        traces = [simulate(workload, config) for config in policies]
-        replayed[case_id] = [(config, trace, compute_metrics(trace, Convention.PAPER_ZERO))
-                             for config, trace in zip(policies, traces)]
-    return replayed
+    workloads = {case_id: paper_case(case_id) for case_id in CASE_IDS}
+    return {case_id: [compute_metrics(simulate(workload, config), Convention.PAPER_ZERO)
+                      for config in policies] for case_id, workload in workloads.items()}
 
 
-def compute_errata(
-    replayed: dict[int, list[tuple[PolicyConfig, Trace, MetricsReport]]],
-) -> list[Erratum]:
+def compute_errata(replayed: dict[int, list[MetricsReport]]) -> list[Erratum]:
     """Field-by-field diff of the published tables against replay_cases()."""
     errata = []
-    for case_id, runs in replayed.items():
-        for row in comparison_rows(runs):
+    for case_id, reports in replayed.items():
+        for row in comparison_rows(reports):
             published = PUBLISHED_TABLES[(case_id, row[0])]
             for field, have, want in zip(COLUMNS[1:], row[1:], published):
                 if str(have) != str(want):

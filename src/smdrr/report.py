@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .engine import Trace
 from .metrics import MetricsReport, format_decimal
-from .policies import PolicyConfig
+from .policies import parse_policy
 
 # ASCII scale: one character per 4 ms, coarsened so that the makespan spans
 # at most MAX_ASCII_WIDTH characters, and widened when a pid or tick label
@@ -95,27 +95,23 @@ def _table_lines(table: Sequence[Sequence[str]]) -> list[str]:
 COLUMNS = ("algorithm", "tq", "tat", "wt", "cs")
 
 
-def comparison_rows(
-    runs: Sequence[tuple[PolicyConfig, Trace, MetricsReport]],
-) -> list[tuple[str, str, str, str, int]]:
-    """One (label, tq, tat, wt, cs) row per policy; all traces must cover
-    the same workload."""
-    names = {trace.workload_name for _, trace, _ in runs}
+def comparison_rows(reports: Sequence[MetricsReport]) -> list[tuple[str, str, str, str, int]]:
+    """One (label, tq, tat, wt, cs) row per run; all runs must cover the
+    same workload."""
+    names = {report.trace.workload_name for report in reports}
     if len(names) > 1:
         raise ValueError(f"mixed workloads in comparison: {sorted(names)}")
     return [
-        (config.label, ",".join(map(str, trace.quanta)) if trace.quanta else "-",
-         format_decimal(report.att), format_decimal(report.awt), report.cs)
-        for config, trace, report in runs
+        (parse_policy(r.trace.policy).label,
+         ",".join(map(str, r.trace.quanta)) if r.trace.quanta else "-",
+         format_decimal(r.att), format_decimal(r.awt), r.cs)
+        for r in reports
     ]
 
 
-def comparison_report(
-    runs: Sequence[tuple[PolicyConfig, Trace, MetricsReport]],
-    format: str = "text",
-) -> str:
-    """Render the per-policy comparison table as text, csv or json."""
-    rows = comparison_rows(runs)
+def comparison_report(reports: Sequence[MetricsReport], format: str = "text") -> str:
+    """Render the per-run comparison table as text, csv or json."""
+    rows = comparison_rows(reports)
     if format == "csv":
         out = io.StringIO()
         csv.writer(out, lineterminator="\n").writerows([COLUMNS, *rows])

@@ -63,6 +63,22 @@ def test_run_requires_one_source(capsys):
                                "--policy", "smdrr") == 2
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("source", ["case", "workload"])
+@pytest.mark.parametrize("flag", [("--burst", "1..5"), ("--arrival", "3..9"), ("--seed", "3")],
+                         ids=lambda flag: flag[0][2:])
+def test_generator_flags_without_n_are_a_usage_error(tmp_path, capsys, command, source, flag):
+    path = tmp_path / "w.csv"
+    path.write_text("pid,arrival,burst\nA,0,4\nB,1,3\n", encoding="utf-8")
+    argv = [command, "--case", "1"] if source == "case" else [command, "--workload", str(path)]
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, *flag, "--policy", "smdrr", "--policy", "fcfs"])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+    assert "need --n" in captured.err
+
+
 def test_run_gantt_needs_text_or_json(capsys):
     assert run_cli_usage_error(capsys, "run", "--case", "1", "--policy", "smdrr",
                                "--format", "csv", "--gantt", "ascii") == 2

@@ -13,6 +13,7 @@ from smdrr.report import (
     MAX_ASCII_WIDTH,
     SVG_UNITS_PER_MS,
     comparison_report,
+    comparison_rows,
     render_gantt_ascii,
     render_gantt_svg,
 )
@@ -22,13 +23,9 @@ RR20 = PolicyConfig("rr", 20)
 SMDRR = PolicyConfig("smdrr")
 
 
-def paper_runs(case_id, *configs):
+def paper_reports(case_id, *configs):
     w = paper_case(case_id)
-    runs = []
-    for config in configs:
-        trace = simulate(w, config)
-        runs.append((config, trace, compute_metrics(trace, Convention.PAPER_ZERO)))
-    return runs
+    return [compute_metrics(simulate(w, config), Convention.PAPER_ZERO) for config in configs]
 
 
 def tick_values(chart):
@@ -126,7 +123,7 @@ def test_svg_widths_sum_to_scaled_makespan():
 
 
 def test_comparison_rows_case1():
-    out = comparison_report(paper_runs(1, RR20, SMDRR), "csv")
+    out = comparison_report(paper_reports(1, RR20, SMDRR), "csv")
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["algorithm", "tq", "tat", "wt", "cs"]
     assert rows[1] == ["RR", "20", "144", "85.75", "12"]
@@ -134,12 +131,12 @@ def test_comparison_rows_case1():
 
 
 def test_comparison_csv_quotes_quantum_sequences():
-    out = comparison_report(paper_runs(4, RR20, SMDRR), "csv")
+    out = comparison_report(paper_reports(4, RR20, SMDRR), "csv")
     assert 'SMDRR,"18,35,25,43",108.6,65.4,7' in out
 
 
 def test_comparison_json():
-    doc = json.loads(comparison_report(paper_runs(4, RR20, SMDRR), "json"))
+    doc = json.loads(comparison_report(paper_reports(4, RR20, SMDRR), "json"))
     assert doc == [
         {"algorithm": "RR", "tq": "20", "tat": "125.6", "wt": "82.4", "cs": 11},
         {"algorithm": "SMDRR", "tq": "18,35,25,43", "tat": "108.6", "wt": "65.4", "cs": 7},
@@ -147,7 +144,7 @@ def test_comparison_json():
 
 
 def test_comparison_text_alignment():
-    out = comparison_report(paper_runs(1, RR20, SMDRR), "text")
+    out = comparison_report(paper_reports(1, RR20, SMDRR), "text")
     lines = out.splitlines()
     assert lines[0].split() == ["Algorithm", "TQ", "TAT", "WT", "CS"]
     assert lines[1].split() == ["RR", "20", "144", "85.75", "12"]
@@ -155,27 +152,36 @@ def test_comparison_text_alignment():
 
 
 def test_comparison_single_row_and_nonquantum_policy():
-    out = comparison_report(paper_runs(1, PolicyConfig("fcfs")), "csv")
+    out = comparison_report(paper_reports(1, PolicyConfig("fcfs")), "csv")
     rows = list(csv.reader(io.StringIO(out)))
     assert len(rows) == 2
     assert rows[1][0] == "FCFS"
     assert rows[1][1] == "-"
 
 
+@pytest.mark.parametrize("spelling", ["smdrr", "rr:1", "rr:7", "fcfs", "sjf"])
+def test_comparison_row_takes_label_and_quanta_from_the_report(spelling):
+    (report,) = paper_reports(3, parse_policy(spelling))
+    (row,) = comparison_rows([report])
+    assert row[0] == parse_policy(spelling).label
+    quanta = report.trace.quanta
+    assert row[1] == (",".join(map(str, quanta)) if quanta else "-")
+
+
 def test_comparison_rejects_mixed_workloads():
-    runs = paper_runs(1, RR20) + paper_runs(2, SMDRR)
+    reports = paper_reports(1, RR20) + paper_reports(2, SMDRR)
     with pytest.raises(ValueError, match="mixed workloads"):
-        comparison_report(runs, "csv")
+        comparison_report(reports, "csv")
 
 
 def test_comparison_unknown_format():
     with pytest.raises(ValueError, match="format"):
-        comparison_report(paper_runs(1, RR20), "html")
+        comparison_report(paper_reports(1, RR20), "html")
 
 
 def test_goldens_agree_with_comparison_rows():
     for case_id in (1, 2, 3, 4):
-        out = comparison_report(paper_runs(case_id, RR20, SMDRR), "csv")
+        out = comparison_report(paper_reports(case_id, RR20, SMDRR), "csv")
         rows = list(csv.reader(io.StringIO(out)))
         for row in rows[1:]:
             algorithm, tq, tat, wt, cs = row
