@@ -11,9 +11,9 @@ the one edit there, runs the named tests in the copy and prints one line:
 killed (some test failed), survived (all passed) or error (the tests could
 not run, or the edit did not apply), with the seconds it took.  First it
 runs every named test once on an unedited copy, which must survive.  It
-exits 1 unless that holds and every mutant is killed.  tests/test_mutants.py checks, without
-running any mutant, that every old text still occurs exactly once and
-every node id names a test that exists.
+exits 1 unless that holds and every mutant is killed.
+tests/test_mutants.py checks, without running any mutant, that every old
+text still occurs exactly once and every node id names a test that exists.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600  # per mutant; a mutant that hangs is reported as an error
-_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
-                                 ".benchmarks", "BENCH_*.json")
+# Hypothesis's example database is not copied: a kill must not depend on
+# examples that earlier local runs saved.
+_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
 
 
 class Mutant(NamedTuple):
