@@ -1,17 +1,17 @@
 """Run the committed mutation checks: each mutant must fail its named tests.
 
-    python3 tools/mutants.py [NAME ...]
+    python3 tools/mutants.py
 
 Stdlib only.  Each record in MUTANTS names a file of the repository, a
 text that occurs exactly once in it, the text that replaces it, and the
-pytest node ids that must fail once it is replaced.  For each record (or
-only the named ones) the tool copies the repository, without .git and
-caches, to a fresh temporary directory outside the working tree, applies
-the one edit there, runs the named tests in the copy and prints one line:
-killed (some test failed), survived (all passed) or error (the tests could
-not run, or the edit did not apply), with the seconds it took.  First it
-runs every named test once on an unedited copy, which must survive.  It
-exits 1 unless that holds and every mutant is killed.
+pytest node ids that must fail once it is replaced.  For each record the
+tool copies the repository, without .git and caches, to a fresh temporary
+directory outside the working tree, applies the one edit there, runs the
+named tests in the copy and prints one line: killed (some test failed),
+survived (all passed) or error (the tests could not run, or the edit did
+not apply), with the seconds it took.  First it runs every named test
+once on an unedited copy, which must survive.  It exits 1 unless that
+holds and every mutant is killed.
 tests/test_mutants.py checks, without running any mutant, that every old
 text still occurs exactly once and every node id names a test that exists.
 """
@@ -217,19 +217,13 @@ def run(tests: tuple[str, ...], mutant: Mutant | None = None) -> tuple[str, floa
     return verdict, time.perf_counter() - began
 
 
-def main(argv: list[str] | None = None) -> int:
-    names = sys.argv[1:] if argv is None else argv
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not names or m.name in names]
+def main() -> int:
     began = time.perf_counter()
     # A kill means something only if the same tests pass without the edit.
-    verdict, seconds = run(tuple(dict.fromkeys(t for m in chosen for t in m.tests)))
+    verdict, seconds = run(tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests)))
     print(f"{verdict:<8} {seconds:7.1f} s  (no mutant: must survive)", flush=True)
     all_killed = verdict == "survived"
-    for mutant in chosen:
+    for mutant in MUTANTS:
         verdict, seconds = run(mutant.tests, mutant)
         all_killed &= verdict == "killed"
         print(f"{verdict:<8} {seconds:7.1f} s  {mutant.name}", flush=True)
